@@ -892,7 +892,7 @@ BatchPlan::basisRow(const dspace::UnitPoint &x, double *row) const
 math::Matrix
 BatchPlan::designMatrix(const std::vector<dspace::UnitPoint> &xs) const
 {
-    OBS_SPAN("rbf.batch");
+    OBS_SPAN("rbf.design_matrix");
     OBS_STATIC_COUNTER(batch_calls, "rbf.batch.calls");
     OBS_ADD(batch_calls, 1);
     OBS_STATIC_COUNTER(batch_points, "rbf.batch.points");

@@ -46,8 +46,9 @@
  * support (AVX-512 > AVX2 on x86), overridable through PPM_SIMD
  * (off|scalar|avx2|avx512|neon|auto). The resolved kind is exported
  * as the `rbf.simd_dispatch` gauge (0 scalar, 1 AVX2, 2 NEON,
- * 3 AVX-512); batch evaluations run under `span.rbf.batch`. Building
- * with -DPPM_SIMD=OFF compiles the vector kernels out entirely
+ * 3 AVX-512); batch predictions run under `span.rbf.batch`, design
+ * matrices under `span.rbf.design_matrix`. Building with
+ * -DPPM_SIMD=OFF compiles the vector kernels out entirely
  * (PPM_SIMD_DISABLED).
  */
 
@@ -156,7 +157,7 @@ class BatchPlan
 
     /**
      * Design matrix H with H(i, j) = h_j(xs[i]), evaluated batched
-     * (span.rbf.batch).
+     * (span.rbf.design_matrix).
      */
     math::Matrix designMatrix(
         const std::vector<dspace::UnitPoint> &xs) const;

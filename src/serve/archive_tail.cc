@@ -1,116 +1,22 @@
 #include "serve/archive_tail.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/trace_span.hh"
-#include "util/crc32.hh"
+#include "util/file_io.hh"
 
 namespace ppm::serve {
-
-namespace {
-
-// Mirrors the writer-side format constants in result_archive.cc.
-constexpr std::uint32_t kArchiveMagic = 0x50504D41u; // "PPMA"
-constexpr std::uint16_t kArchiveVersion = 1;
-constexpr std::uint32_t kMaxRecordPayload = 1u << 20;
-constexpr std::uint32_t kMaxContext = 4096;
-
-[[noreturn]] void
-throwErrno(const std::string &what)
-{
-    throw ArchiveError(what + ": " + std::strerror(errno));
-}
-
-/** Little-endian reads over a byte range; false = out of bytes. */
-struct ByteCursor
-{
-    const std::uint8_t *data;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    bool
-    u32(std::uint32_t &out)
-    {
-        if (size - pos < 4)
-            return false;
-        out = 0;
-        for (int i = 3; i >= 0; --i)
-            out = (out << 8) | data[pos + static_cast<std::size_t>(i)];
-        pos += 4;
-        return true;
-    }
-
-    bool
-    u16(std::uint16_t &out)
-    {
-        if (size - pos < 2)
-            return false;
-        out = static_cast<std::uint16_t>(data[pos] |
-                                         (data[pos + 1] << 8));
-        pos += 2;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &out)
-    {
-        if (size - pos < 8)
-            return false;
-        out = 0;
-        for (int i = 7; i >= 0; --i)
-            out = (out << 8) | data[pos + static_cast<std::size_t>(i)];
-        pos += 8;
-        return true;
-    }
-
-    bool
-    bytes(const std::uint8_t *&out, std::size_t n)
-    {
-        if (size - pos < n)
-            return false;
-        out = data + pos;
-        pos += n;
-        return true;
-    }
-};
-
-/** pread [off, off + want) fully; short only at EOF. */
-std::vector<std::uint8_t>
-readRange(int fd, const std::string &path, std::uint64_t off,
-          std::size_t want)
-{
-    std::vector<std::uint8_t> bytes(want);
-    std::size_t got = 0;
-    while (got < bytes.size()) {
-        const ssize_t n = ::pread(
-            fd, bytes.data() + got, bytes.size() - got,
-            static_cast<off_t>(off + got));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("pread " + path);
-        }
-        if (n == 0)
-            break;
-        got += static_cast<std::size_t>(n);
-    }
-    bytes.resize(got);
-    return bytes;
-}
-
-} // namespace
 
 ArchiveTailer::ArchiveTailer(std::string path, std::string context)
     : path_(std::move(path)), context_(std::move(context))
 {
-    if (context_.size() > kMaxContext)
+    if (context_.size() > ResultArchive::kMaxContext)
         throw ArchiveError("archive context string too long");
 }
 
@@ -129,7 +35,8 @@ ArchiveTailer::ensureOpen()
     if (fd_ < 0) {
         if (errno == ENOENT)
             return false; // shard has not created its archive yet
-        throwErrno("open " + path_);
+        throw ArchiveError("open " + path_ + ": " +
+                           std::strerror(errno));
     }
     return true;
 }
@@ -146,115 +53,53 @@ std::vector<ArchiveTailer::Record>
 ArchiveTailer::poll()
 {
     OBS_SPAN("train.tail");
-    std::vector<Record> out;
     if (!ensureOpen())
-        return out;
+        return {};
 
-    struct stat st{};
-    if (::fstat(fd_, &st) < 0)
-        throwErrno("fstat " + path_);
-    const auto size = static_cast<std::uint64_t>(st.st_size);
-
-    if (!header_ok_) {
-        // The header is bounded; read at most its maximal encoding.
-        const std::size_t max_header =
-            4 + 2 + 4 + std::size_t{kMaxContext} + 4;
-        const std::vector<std::uint8_t> bytes = readRange(
-            fd_, path_, 0, std::min<std::uint64_t>(size, max_header));
-        ByteCursor cur{bytes.data(), bytes.size()};
-        std::uint32_t magic = 0, ctx_len = 0, ctx_crc = 0;
-        std::uint16_t version = 0;
-        const std::uint8_t *ctx_bytes = nullptr;
-        if (!cur.u32(magic)) {
-            ++retries_; // file created, header bytes still in flight
-            return out;
+    std::vector<std::uint8_t> bytes;
+    try {
+        const std::uint64_t size = util::fileSize(fd_, path_);
+        if (!header_ok_) {
+            bytes = util::readAt(
+                fd_, path_, 0,
+                std::min<std::uint64_t>(size,
+                                        ResultArchive::kMaxHeaderBytes));
+            const std::optional<std::size_t> header =
+                ResultArchive::parseHeader(bytes.data(), bytes.size(),
+                                           context_, path_);
+            if (!header) {
+                ++retries_; // header bytes still in flight
+                return {};
+            }
+            header_ok_ = true;
+            header_end_ = *header;
+            if (offset_ < header_end_)
+                offset_ = header_end_;
         }
-        if (magic != kArchiveMagic)
-            throw ArchiveError("not a result archive (bad magic): " +
-                               path_);
-        if (!cur.u16(version) || !cur.u32(ctx_len)) {
-            ++retries_;
-            return out;
-        }
-        if (version != kArchiveVersion)
-            throw ArchiveError("unsupported archive version in " +
-                               path_);
-        if (ctx_len > kMaxContext)
-            throw ArchiveError("not a result archive (bad header): " +
-                               path_);
-        if (!cur.bytes(ctx_bytes, ctx_len) || !cur.u32(ctx_crc)) {
-            ++retries_;
-            return out;
-        }
-        if (util::crc32(ctx_bytes, ctx_len) != ctx_crc) {
-            ++retries_; // torn read of an in-flight header
-            return out;
-        }
-        if (std::string(reinterpret_cast<const char *>(ctx_bytes),
-                        ctx_len) != context_)
-            throw ArchiveError("archive context mismatch in " +
-                               path_);
-        header_ok_ = true;
-        header_end_ = cur.pos;
-        if (offset_ < header_end_)
-            offset_ = header_end_;
+        if (size <= offset_)
+            return {}; // nothing new (or the owner truncated a bad tail)
+        bytes = util::readAt(fd_, path_, offset_,
+                             static_cast<std::size_t>(size - offset_));
+    } catch (const std::system_error &e) {
+        throw ArchiveError(e.what());
     }
 
-    if (size <= offset_)
-        return out; // nothing new (or the owner truncated a bad tail)
-
-    const std::vector<std::uint8_t> bytes = readRange(
-        fd_, path_, offset_, static_cast<std::size_t>(size - offset_));
-    ByteCursor cur{bytes.data(), bytes.size()};
-    bool partial = false;
-    while (cur.pos < cur.size) {
-        const std::size_t record_start = cur.pos;
-        std::uint32_t len = 0, crc = 0;
-        const std::uint8_t *payload = nullptr;
-        if (!cur.u32(len) || len > kMaxRecordPayload ||
-            !cur.bytes(payload, len) || !cur.u32(crc) ||
-            util::crc32(payload, len) != crc) {
-            // Short, absurd, or checksum-failing tail: either a
-            // concurrent writer's bytes have not all landed or the
-            // tail is corrupt and the owning server will truncate it.
-            // Both heal by retrying from this record next poll.
-            partial = true;
-            cur.pos = record_start;
-            break;
-        }
-        ByteCursor rec{payload, len};
-        std::uint32_t key_len = 0;
-        if (!rec.u32(key_len) ||
-            rec.size - rec.pos != std::size_t{key_len} * 8 + 8) {
-            partial = true;
-            cur.pos = record_start;
-            break;
-        }
-        Record record;
-        record.key.resize(key_len);
-        for (auto &k : record.key) {
-            std::uint64_t raw = 0;
-            rec.u64(raw);
-            k = static_cast<std::int64_t>(raw);
-        }
-        std::uint64_t raw_value = 0;
-        rec.u64(raw_value);
-        record.value = std::bit_cast<double>(raw_value);
-        record.end_offset = offset_ + cur.pos;
-        out.push_back(std::move(record));
-    }
-    offset_ += cur.pos;
-    records_ += out.size();
-    if (partial)
-        ++retries_;
-
+    // A short, absurd or checksum-failing tail is either a concurrent
+    // writer's bytes that have not all landed or a corrupt tail the
+    // owning server will truncate; both heal by retrying from the
+    // first such record on the next poll.
+    ArchiveScan scan =
+        ResultArchive::scanRecords(bytes.data(), bytes.size(), offset_);
+    offset_ += scan.consumed;
+    records_ += scan.records.size();
     OBS_STATIC_COUNTER(tail_records, "train.tail.records");
-    OBS_ADD(tail_records, out.size());
-    if (partial) {
+    OBS_ADD(tail_records, scan.records.size());
+    if (scan.consumed < bytes.size()) {
+        ++retries_;
         OBS_STATIC_COUNTER(tail_retries, "train.tail.retries");
         OBS_ADD(tail_retries, 1);
     }
-    return out;
+    return std::move(scan.records);
 }
 
 } // namespace ppm::serve

@@ -4,8 +4,10 @@
  *
  * The online trainer tails every shard's archive from a persisted
  * byte offset: each poll() parses whatever *complete* records have
- * appeared past the offset and advances it record-by-record. Unlike
- * ResultArchive::openAndRecover — which owns the file and may
+ * appeared past the offset and advances it record-by-record. It
+ * parses with ResultArchive::parseHeader() and scanRecords(), the
+ * scanner the owner recovers with, so both stop at the same byte.
+ * Unlike ResultArchive::openAndRecover — which owns the file and may
  * truncate a corrupt tail — the tailer never writes. Anything
  * inconsistent at the tail is treated as a concurrent writer's
  * partially flushed record: poll() stops before it, reports what it
@@ -20,10 +22,12 @@
  * meanwhile just keeps waiting without consuming garbage.
  *
  * The archive file may not exist yet (a shard that has not produced a
- * result); poll() simply returns nothing until it appears. A header
- * carrying a *different* context, or a wrong magic on a non-empty
- * file, is a configuration error and throws ArchiveError — silently
- * folding another oracle's results into a model must not happen.
+ * result); poll() simply returns nothing until it appears, and a
+ * header still being written is retried like a torn record. A header
+ * carrying a *different* context, or a wrong magic, version or
+ * context length, is a configuration error and throws ArchiveError —
+ * silently folding another oracle's results into a model must not
+ * happen.
  *
  * offset() is the byte offset one past the last fully consumed
  * record (or past the header when no record has been consumed yet;
@@ -46,13 +50,7 @@ class ArchiveTailer
 {
   public:
     /** One complete record pulled past the tail offset. */
-    struct Record
-    {
-        core::ResultStore::Key key;
-        double value = 0.0;
-        /** Absolute byte offset one past this record in the file. */
-        std::uint64_t end_offset = 0;
-    };
+    using Record = ArchiveRecord;
 
     /**
      * Follow the archive at @p path for oracle @p context. The file

@@ -1,16 +1,11 @@
 #include "serve/model_snapshot.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#include <system_error>
 
 #include "serve/wire_codec.hh"
 #include "util/crc32.hh"
+#include "util/file_io.hh"
 
 namespace ppm::serve {
 
@@ -138,18 +133,14 @@ encodeSnapshot(const ModelSnapshot &snap)
     if (payload.size() > kMaxModelBytes)
         fail("snapshot image exceeds kMaxModelBytes");
 
-    PayloadWriter out;
-    out.u32(kSnapshotMagic);
-    out.u16(kSnapshotFormat);
-    out.u16(0); // flags, reserved
-    out.u32(static_cast<std::uint32_t>(payload.size()));
-    std::vector<std::uint8_t> image = out.take();
-    image.insert(image.end(), payload.begin(), payload.end());
-    PayloadWriter trailer;
-    trailer.u32(util::crc32(payload.data(), payload.size()));
-    const auto crc = trailer.take();
-    image.insert(image.end(), crc.begin(), crc.end());
-    return image;
+    PayloadWriter image;
+    image.u32(kSnapshotMagic);
+    image.u16(kSnapshotFormat);
+    image.u16(0); // flags, reserved
+    image.u32(static_cast<std::uint32_t>(payload.size()));
+    image.bytes(payload.data(), payload.size());
+    image.u32(util::crc32(payload.data(), payload.size()));
+    return image.take();
 }
 
 ModelSnapshot
@@ -162,7 +153,7 @@ decodeSnapshot(const std::uint8_t *data, std::size_t size)
         if (header.u32() != kSnapshotMagic)
             fail("bad magic");
         const std::uint16_t format = header.u16();
-        if (format < kMinSnapshotFormat || format > kSnapshotFormat)
+        if (format != kSnapshotFormat)
             fail("unsupported format version " +
                  std::to_string(format));
         if (header.u16() != 0)
@@ -195,12 +186,10 @@ decodeSnapshot(const std::uint8_t *data, std::size_t size)
         snap.p_min = r.u32();
         snap.alpha = r.f64();
         checkFinite(snap.alpha, "alpha");
-        if (format >= 2) {
-            snap.cv_error = r.f64();
-            checkFinite(snap.cv_error, "cv_error");
-            if (snap.cv_error < 0.0)
-                fail("negative cv_error");
-        }
+        snap.cv_error = r.f64();
+        checkFinite(snap.cv_error, "cv_error");
+        if (snap.cv_error < 0.0)
+            fail("negative cv_error");
 
         const std::uint32_t dims = r.u32();
         if (dims == 0 || dims > kMaxSnapshotDims)
@@ -331,86 +320,23 @@ decodeSnapshot(const std::vector<std::uint8_t> &bytes)
 void
 saveSnapshot(const ModelSnapshot &snap, const std::string &path)
 {
-    const std::vector<std::uint8_t> image = encodeSnapshot(snap);
-
-    // Unique temp name in the target directory: rename() is only
-    // atomic within a filesystem, and a fixed name would let two
-    // publishers clobber each other's half-written files.
-    const std::string tmp = path + ".tmp." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(snap.model_version);
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0)
-        fail("cannot create " + tmp + ": " + std::strerror(errno));
-    std::size_t written = 0;
-    while (written < image.size()) {
-        const ssize_t n =
-            ::write(fd, image.data() + written,
-                    image.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int saved = errno;
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            fail("write to " + tmp + " failed: " +
-                 std::strerror(saved));
-        }
-        written += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) < 0) {
-        const int saved = errno;
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        fail("fsync of " + tmp + " failed: " + std::strerror(saved));
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) < 0) {
-        const int saved = errno;
-        ::unlink(tmp.c_str());
-        fail("rename to " + path + " failed: " +
-             std::strerror(saved));
+    try {
+        util::replaceFile(path, encodeSnapshot(snap));
+    } catch (const std::system_error &e) {
+        fail(e.what());
     }
 }
 
 ModelSnapshot
 loadSnapshot(const std::string &path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        fail("cannot open " + path + ": " + std::strerror(errno));
-    struct stat st;
-    if (::fstat(fd, &st) < 0 || st.st_size < 0) {
-        ::close(fd);
-        fail("cannot stat " + path);
+    std::vector<std::uint8_t> image;
+    try {
+        image = util::readFile(path, std::uint64_t{kMaxModelBytes} +
+                                         kSnapshotHeaderSize + 4);
+    } catch (const std::system_error &e) {
+        fail(e.what());
     }
-    if (static_cast<std::uint64_t>(st.st_size) >
-        std::uint64_t{kMaxModelBytes} + kSnapshotHeaderSize + 4) {
-        ::close(fd);
-        fail("file oversized: " + path);
-    }
-    std::vector<std::uint8_t> image(
-        static_cast<std::size_t>(st.st_size));
-    std::size_t got = 0;
-    while (got < image.size()) {
-        const ssize_t n =
-            ::read(fd, image.data() + got, image.size() - got);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const int saved = errno;
-            ::close(fd);
-            fail("read of " + path + " failed: " +
-                 std::strerror(saved));
-        }
-        if (n == 0)
-            break; // concurrent truncation: decode reports it
-        got += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    image.resize(got);
     return decodeSnapshot(image);
 }
 

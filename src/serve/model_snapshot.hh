@@ -11,7 +11,7 @@
  * Image layout (all integers little-endian, see wire_codec.hh):
  *
  *     u32  magic        'PPMM' (0x50504D4D)
- *     u16  format       kMinSnapshotFormat..kSnapshotFormat
+ *     u16  format       exactly kSnapshotFormat
  *     u16  flags        reserved, must be zero
  *     u32  payload_len  <= kMaxModelBytes
  *     u8   payload[payload_len]
@@ -22,7 +22,7 @@
  *     u64  model_version          (monotonic; drives hot-swap)
  *     str  benchmark   u16 metric   u64 trace_length   u64 warmup
  *     u32  train_points   u32 p_min   f64 alpha
- *     f64  cv_error               (format >= 2; see ModelSnapshot)
+ *     f64  cv_error               (see ModelSnapshot)
  *     u32  dims
  *     dims x { str name  f64 min  f64 max  u32 levels
  *              u8 transform  u8 integer }
@@ -72,14 +72,11 @@ class SnapshotError : public ProtocolError
 inline constexpr std::uint32_t kSnapshotMagic = 0x50504D4Du; // "PPMM"
 
 /**
- * Snapshot format version this build writes. Format 2 added the
- * training-time cross-validation error (the drift-monitor baseline);
- * format-1 images still load with cv_error = 0 (unknown).
+ * Snapshot format version this build writes and reads. Format 2 added
+ * the training-time cross-validation error (the drift-monitor
+ * baseline); other formats are rejected.
  */
 inline constexpr std::uint16_t kSnapshotFormat = 2;
-
-/** Oldest snapshot format still accepted. */
-inline constexpr std::uint16_t kMinSnapshotFormat = 1;
 
 /** Bytes before the payload: magic + format + flags + payload_len. */
 inline constexpr std::size_t kSnapshotHeaderSize = 12;
@@ -124,8 +121,8 @@ struct ModelSnapshot
      * published model — the accuracy the model demonstrated on
      * held-out training data. The serve-plane drift monitor compares
      * live shadow-simulated error against this baseline to decide
-     * when the model has degraded. 0 = unknown (format-1 snapshots,
-     * or publishers that skipped CV).
+     * when the model has degraded. 0 = unknown (publishers that
+     * skipped CV).
      */
     double cv_error = 0.0;
 

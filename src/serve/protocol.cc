@@ -16,8 +16,6 @@ knownType(std::uint16_t t)
            t <= static_cast<std::uint16_t>(MsgType::TraceResponse);
 }
 
-thread_local std::uint16_t t_wire_version = kVersion;
-
 std::vector<std::uint8_t>
 encodeNonce(MsgType type, std::uint64_t nonce)
 {
@@ -37,44 +35,24 @@ parseNonce(const std::vector<std::uint8_t> &payload)
 
 } // namespace
 
-ScopedWireVersion::ScopedWireVersion(std::uint16_t version)
-    : saved_(t_wire_version)
-{
-    if (version < kMinVersion || version > kVersion)
-        throw ProtocolError("unsupported wire version " +
-                            std::to_string(version));
-    t_wire_version = version;
-}
-
-ScopedWireVersion::~ScopedWireVersion() { t_wire_version = saved_; }
-
-std::uint16_t
-wireVersion()
-{
-    return t_wire_version;
-}
-
 std::vector<std::uint8_t>
 encodeFrame(MsgType type, const std::vector<std::uint8_t> &payload)
 {
     if (payload.size() > kMaxPayload)
         throw ProtocolError("payload exceeds kMaxPayload");
-    const std::uint16_t version = t_wire_version;
     PayloadWriter w;
     w.u32(kMagic);
-    w.u16(version);
+    w.u16(kVersion);
     w.u16(static_cast<std::uint16_t>(type));
     w.u32(static_cast<std::uint32_t>(payload.size()));
-    if (version >= 4) {
-        // The trace block is CRC-covered header material: the CRC
-        // runs over trace block + payload, so corrupted trace bytes
-        // are rejected exactly like corrupted payload bytes.
-        const obs::TraceContext ctx = obs::currentTraceContext();
-        w.u64(ctx.trace_hi);
-        w.u64(ctx.trace_lo);
-        w.u64(ctx.parent_span_id);
-        w.u8(ctx.flags);
-    }
+    // The trace block is CRC-covered header material: the CRC runs
+    // over trace block + payload, so corrupted trace bytes are
+    // rejected exactly like corrupted payload bytes.
+    const obs::TraceContext ctx = obs::currentTraceContext();
+    w.u64(ctx.trace_hi);
+    w.u64(ctx.trace_lo);
+    w.u64(ctx.parent_span_id);
+    w.u8(ctx.flags);
     std::vector<std::uint8_t> frame = w.take();
     frame.insert(frame.end(), payload.begin(), payload.end());
     PayloadWriter trailer;
@@ -94,10 +72,9 @@ decodeHeader(const std::uint8_t *data, std::size_t size)
     if (r.u32() != kMagic)
         throw ProtocolError("bad frame magic");
     const std::uint16_t version = r.u16();
-    if (version < kMinVersion || version > kVersion)
+    if (version != kVersion)
         throw ProtocolError("protocol version mismatch: got " +
                             std::to_string(version) + ", want " +
-                            std::to_string(kMinVersion) + ".." +
                             std::to_string(kVersion));
     const std::uint16_t type = r.u16();
     if (!knownType(type))
@@ -107,37 +84,33 @@ decodeHeader(const std::uint8_t *data, std::size_t size)
     if (payload_len > kMaxPayload)
         throw ProtocolError("frame payload oversized: " +
                             std::to_string(payload_len) + " bytes");
-    return FrameHeader{static_cast<MsgType>(type), version,
-                       payload_len};
+    return FrameHeader{static_cast<MsgType>(type), payload_len};
 }
 
 Frame
 decodeFrame(const std::uint8_t *data, std::size_t size)
 {
     const FrameHeader header = decodeHeader(data, size);
-    const std::size_t trace_size = traceBlockSize(header.version);
-    const std::size_t want = kHeaderSize + trace_size +
+    const std::size_t want = kHeaderSize + kTraceBlockSize +
                              header.payload_len + kTrailerSize;
     if (size < want)
         throw ProtocolError("frame truncated");
     if (size > want)
         throw ProtocolError("trailing bytes after frame");
     const std::uint8_t *body = data + kHeaderSize;
-    const std::uint8_t *payload = body + trace_size;
+    const std::uint8_t *payload = body + kTraceBlockSize;
     PayloadReader trailer(payload + header.payload_len, kTrailerSize);
     const std::uint32_t want_crc = trailer.u32();
-    if (util::crc32(body, trace_size + header.payload_len) != want_crc)
+    if (util::crc32(body, kTraceBlockSize + header.payload_len) !=
+        want_crc)
         throw ProtocolError("frame CRC mismatch");
     Frame frame;
     frame.type = header.type;
-    frame.version = header.version;
-    if (trace_size != 0) {
-        PayloadReader t(body, trace_size);
-        frame.trace.trace_hi = t.u64();
-        frame.trace.trace_lo = t.u64();
-        frame.trace.parent_span_id = t.u64();
-        frame.trace.flags = t.u8();
-    }
+    PayloadReader t(body, kTraceBlockSize);
+    frame.trace.trace_hi = t.u64();
+    frame.trace.trace_lo = t.u64();
+    frame.trace.parent_span_id = t.u64();
+    frame.trace.flags = t.u8();
     frame.payload.assign(payload, payload + header.payload_len);
     return frame;
 }

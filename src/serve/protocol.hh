@@ -7,23 +7,20 @@
  * Frame layout (all integers little-endian):
  *
  *     u32  magic        'PPMS' (0x50504D53)
- *     u16  version      kMinVersion..kVersion; others are rejected
+ *     u16  version      exactly kVersion; others are rejected
  *     u16  type         MsgType
  *     u32  payload_len  <= kMaxPayload; oversized frames are rejected
  *                       before any allocation
- *     u8   trace[25]    v4+ only: trace context block (see below)
+ *     u8   trace[25]    trace context block (see below)
  *     u8   payload[payload_len]
- *     u32  crc          CRC-32 of trace block + payload (v4+), or of
- *                       the payload alone (v3)
+ *     u32  crc          CRC-32 of trace block + payload
  *
- * v4 extends the header with a W3C-traceparent-style trace context —
- * u64 trace_id_hi, u64 trace_id_lo, u64 parent_span_id, u8 flags
- * (bit 0 = sampled) — present in every v4 frame (all-zero when no
- * trace is active) so framing stays fixed-size per version. The block
- * is covered by the frame CRC, so corrupted trace bytes are rejected
- * exactly like corrupted payload bytes. v3 frames (no trace block)
- * are still accepted and replied to in kind: a v3 poller can sit on a
- * v4 server (see ScopedWireVersion).
+ * The trace block is a W3C-traceparent-style context — u64
+ * trace_id_hi, u64 trace_id_lo, u64 parent_span_id, u8 flags (bit 0 =
+ * sampled) — present in every frame (all-zero when no trace is
+ * active) so framing stays fixed-size. It is covered by the frame
+ * CRC, so corrupted trace bytes are rejected exactly like corrupted
+ * payload bytes.
  *
  * This layer is pure buffer encoding/decoding — no I/O — so malformed
  * frames can be unit-tested byte by byte. Every decode path
@@ -57,28 +54,18 @@ class ProtocolError : public std::runtime_error
 inline constexpr std::uint32_t kMagic = 0x50504D53u; // "PPMS"
 
 /**
- * Protocol version of frames this build emits by default.
+ * Protocol version of every frame this build emits and accepts.
  * v2 added the Stats request/response pair; v3 added the PREDICT and
  * MODEL frame families of the prediction-serving plane; v4 added the
  * trace-context header block and the TRACE frame pair.
  */
 inline constexpr std::uint16_t kVersion = 4;
 
-/** Oldest version still accepted (v3 pollers poll v4 servers). */
-inline constexpr std::uint16_t kMinVersion = 3;
-
 /** Bytes before the payload: magic + version + type + payload_len. */
 inline constexpr std::size_t kHeaderSize = 12;
 
-/** v4+ trace block: trace_id hi/lo + parent_span_id + flags. */
+/** Trace block: trace_id hi/lo + parent_span_id + flags. */
 inline constexpr std::size_t kTraceBlockSize = 25;
-
-/** Bytes of trace block between header and payload for @p version. */
-inline constexpr std::size_t
-traceBlockSize(std::uint16_t version)
-{
-    return version >= 4 ? kTraceBlockSize : 0;
-}
 
 /** Bytes after the payload: the payload CRC. */
 inline constexpr std::size_t kTrailerSize = 4;
@@ -255,8 +242,7 @@ struct TraceDump
 struct Frame
 {
     MsgType type = MsgType::Error;
-    std::uint16_t version = kVersion; //!< wire version it arrived in
-    obs::TraceContext trace;          //!< zero for v3 frames
+    obs::TraceContext trace;
     std::vector<std::uint8_t> payload;
 };
 
@@ -264,30 +250,8 @@ struct Frame
 struct FrameHeader
 {
     MsgType type = MsgType::Error;
-    std::uint16_t version = kVersion;
     std::uint32_t payload_len = 0;
 };
-
-/**
- * Pin the wire version encodeFrame() emits on this thread for a
- * scope — how a v4 server answers a v3 poller in v3 so the old
- * binary can parse the reply.
- */
-class ScopedWireVersion
-{
-  public:
-    explicit ScopedWireVersion(std::uint16_t version);
-    ~ScopedWireVersion();
-
-    ScopedWireVersion(const ScopedWireVersion &) = delete;
-    ScopedWireVersion &operator=(const ScopedWireVersion &) = delete;
-
-  private:
-    std::uint16_t saved_;
-};
-
-/** The version encodeFrame() currently emits on this thread. */
-std::uint16_t wireVersion();
 
 // --- encoding ---------------------------------------------------------
 
@@ -318,8 +282,8 @@ std::vector<std::uint8_t> encodeFrame(
 
 /**
  * Validate the first kHeaderSize bytes of a frame. Throws
- * ProtocolError on short input, bad magic, version mismatch, unknown
- * type, or a payload_len above kMaxPayload.
+ * ProtocolError on short input, bad magic, a version other than
+ * kVersion, unknown type, or a payload_len above kMaxPayload.
  */
 FrameHeader decodeHeader(const std::uint8_t *data, std::size_t size);
 

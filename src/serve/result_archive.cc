@@ -1,17 +1,18 @@
 #include "serve/result_archive.hh"
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
+#include <system_error>
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/event_log.hh"
 #include "obs/trace_span.hh"
+#include "serve/wire_codec.hh"
 #include "util/crc32.hh"
+#include "util/file_io.hh"
 
 namespace ppm::serve {
 
@@ -20,7 +21,6 @@ namespace {
 constexpr std::uint32_t kArchiveMagic = 0x50504D41u; // "PPMA"
 constexpr std::uint16_t kArchiveVersion = 1;
 constexpr std::uint32_t kMaxRecordPayload = 1u << 20;
-constexpr std::uint32_t kMaxContext = 4096;
 
 [[noreturn]] void
 throwErrno(const std::string &what)
@@ -28,106 +28,35 @@ throwErrno(const std::string &what)
     throw ArchiveError(what + ": " + std::strerror(errno));
 }
 
-void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<std::uint8_t>(v >> shift));
-}
-
-/** Little-endian reads over a byte range; false = out of bytes. */
-struct ByteCursor
-{
-    const std::uint8_t *data;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    bool
-    u32(std::uint32_t &out)
-    {
-        if (size - pos < 4)
-            return false;
-        out = 0;
-        for (int i = 3; i >= 0; --i)
-            out = (out << 8) | data[pos + static_cast<std::size_t>(i)];
-        pos += 4;
-        return true;
-    }
-
-    bool
-    u16(std::uint16_t &out)
-    {
-        if (size - pos < 2)
-            return false;
-        out = static_cast<std::uint16_t>(data[pos] |
-                                         (data[pos + 1] << 8));
-        pos += 2;
-        return true;
-    }
-
-    bool
-    u64(std::uint64_t &out)
-    {
-        if (size - pos < 8)
-            return false;
-        out = 0;
-        for (int i = 7; i >= 0; --i)
-            out = (out << 8) | data[pos + static_cast<std::size_t>(i)];
-        pos += 8;
-        return true;
-    }
-
-    bool
-    bytes(const std::uint8_t *&out, std::size_t n)
-    {
-        if (size - pos < n)
-            return false;
-        out = data + pos;
-        pos += n;
-        return true;
-    }
-};
+// The context is encoded as a codec string.
+static_assert(ResultArchive::kMaxContext <= kMaxString);
 
 std::vector<std::uint8_t>
 encodeHeader(const std::string &context)
 {
-    std::vector<std::uint8_t> out;
-    putU32(out, kArchiveMagic);
-    putU16(out, kArchiveVersion);
-    putU32(out, static_cast<std::uint32_t>(context.size()));
-    out.insert(out.end(), context.begin(), context.end());
-    putU32(out, util::crc32(context.data(), context.size()));
-    return out;
+    PayloadWriter w;
+    w.u32(kArchiveMagic);
+    w.u16(kArchiveVersion);
+    w.str(context);
+    w.u32(util::crc32(context.data(), context.size()));
+    return w.take();
 }
 
 std::vector<std::uint8_t>
 encodeRecord(const core::ResultStore::Key &key, double value)
 {
-    std::vector<std::uint8_t> payload;
-    putU32(payload, static_cast<std::uint32_t>(key.size()));
+    PayloadWriter payload;
+    payload.u32(static_cast<std::uint32_t>(key.size()));
     for (std::int64_t k : key)
-        putU64(payload, static_cast<std::uint64_t>(k));
-    putU64(payload, std::bit_cast<std::uint64_t>(value));
+        payload.u64(static_cast<std::uint64_t>(k));
+    payload.f64(value);
+    const std::vector<std::uint8_t> bytes = payload.take();
 
-    std::vector<std::uint8_t> record;
-    putU32(record, static_cast<std::uint32_t>(payload.size()));
-    record.insert(record.end(), payload.begin(), payload.end());
-    putU32(record, util::crc32(payload.data(), payload.size()));
-    return record;
+    PayloadWriter record;
+    record.u32(static_cast<std::uint32_t>(bytes.size()));
+    record.bytes(bytes.data(), bytes.size());
+    record.u32(util::crc32(bytes.data(), bytes.size()));
+    return record.take();
 }
 
 /** RAII flock; the archive fd is locked for load/repair and appends. */
@@ -192,26 +121,12 @@ ResultArchive::openAndRecover()
 
     // Read the whole file; archives are modest (tens of bytes per
     // simulation result) and this keeps recovery logic simple.
-    struct stat st{};
-    if (::fstat(fd_, &st) < 0)
-        throwErrno("fstat " + path_);
-    std::vector<std::uint8_t> bytes(
-        static_cast<std::size_t>(st.st_size));
-    std::size_t got = 0;
-    while (got < bytes.size()) {
-        const ssize_t n = ::pread(fd_, bytes.data() + got,
-                                  bytes.size() - got,
-                                  static_cast<off_t>(got));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("pread " + path_);
-        }
-        if (n == 0)
-            break;
-        got += static_cast<std::size_t>(n);
+    std::vector<std::uint8_t> bytes;
+    try {
+        bytes = util::readAt(fd_, path_, 0, util::fileSize(fd_, path_));
+    } catch (const std::system_error &e) {
+        throw ArchiveError(e.what());
     }
-    bytes.resize(got);
 
     if (bytes.empty()) {
         // Fresh archive: write the context header.
@@ -219,59 +134,26 @@ ResultArchive::openAndRecover()
         return;
     }
 
-    // Validate the header. A valid header with a different context is
-    // a caller error (mixing result sets); an unreadable header on a
-    // non-empty file means the file is not an archive.
-    ByteCursor cur{bytes.data(), bytes.size()};
-    std::uint32_t magic = 0, ctx_len = 0, ctx_crc = 0;
-    std::uint16_t version = 0;
-    const std::uint8_t *ctx_bytes = nullptr;
-    if (!cur.u32(magic) || magic != kArchiveMagic ||
-        !cur.u16(version) || version != kArchiveVersion ||
-        !cur.u32(ctx_len) || ctx_len > kMaxContext ||
-        !cur.bytes(ctx_bytes, ctx_len) || !cur.u32(ctx_crc) ||
-        util::crc32(ctx_bytes, ctx_len) != ctx_crc)
+    // A valid header with a different context is a caller error
+    // (mixing result sets); an unreadable header on a non-empty file
+    // means the file is not an archive.
+    const std::optional<std::size_t> header =
+        parseHeader(bytes.data(), bytes.size(), context_, path_);
+    if (!header)
         throw ArchiveError("not a result archive (bad header): " +
                            path_);
-    if (std::string(reinterpret_cast<const char *>(ctx_bytes),
-                    ctx_len) != context_)
-        throw ArchiveError("archive context mismatch in " + path_);
 
-    // Scan records; the first inconsistency ends the recovered log.
-    std::size_t good_end = cur.pos;
-    while (cur.pos < cur.size) {
-        std::uint32_t len = 0, crc = 0;
-        const std::uint8_t *payload = nullptr;
-        if (!cur.u32(len) || len > kMaxRecordPayload ||
-            !cur.bytes(payload, len) || !cur.u32(crc) ||
-            util::crc32(payload, len) != crc) {
-            ++skipped_;
-            break;
-        }
-        ByteCursor rec{payload, len};
-        std::uint32_t key_len = 0;
-        if (!rec.u32(key_len) ||
-            rec.size - rec.pos != std::size_t{key_len} * 8 + 8) {
-            ++skipped_;
-            break;
-        }
-        Key key(key_len);
-        for (auto &k : key) {
-            std::uint64_t raw = 0;
-            rec.u64(raw);
-            k = static_cast<std::int64_t>(raw);
-        }
-        std::uint64_t raw_value = 0;
-        rec.u64(raw_value);
-        entries_.emplace_back(std::move(key),
-                              std::bit_cast<double>(raw_value));
-        good_end = cur.pos;
+    // The first bad record ends the recovered log; truncate it away
+    // so appends continue a clean log.
+    ArchiveScan scan = scanRecords(bytes.data() + *header,
+                                   bytes.size() - *header, *header);
+    entries_ = std::move(scan.records);
+    const std::size_t good_end = *header + scan.consumed;
+    if (good_end < bytes.size()) {
+        skipped_ = 1;
+        if (::ftruncate(fd_, static_cast<off_t>(good_end)) < 0)
+            throwErrno("ftruncate " + path_);
     }
-
-    // Truncate away the corrupt tail so appends continue a clean log.
-    if (good_end < bytes.size() &&
-        ::ftruncate(fd_, static_cast<off_t>(good_end)) < 0)
-        throwErrno("ftruncate " + path_);
 
     OBS_STATIC_COUNTER(preloads, "archive.preloaded");
     OBS_ADD(preloads, entries_.size());
@@ -290,8 +172,8 @@ ResultArchive::load(
     const std::function<void(const Key &, double)> &sink)
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    for (const auto &[key, value] : entries_)
-        sink(key, value);
+    for (const ArchiveRecord &record : entries_)
+        sink(record.key, record.value);
 }
 
 void
@@ -324,6 +206,66 @@ ResultArchive::fileNameFor(const std::string &benchmark,
     return name + "_t" + std::to_string(trace_length) + "_w" +
            std::to_string(warmup) + "_" + core::metricName(metric) +
            ".ppma";
+}
+
+std::optional<std::size_t>
+ResultArchive::parseHeader(const std::uint8_t *data, std::size_t size,
+                           const std::string &context,
+                           const std::string &path)
+{
+    PayloadReader r(data, size);
+    if (r.remaining() < 4)
+        return std::nullopt;
+    if (r.u32() != kArchiveMagic)
+        throw ArchiveError("not a result archive (bad magic): " + path);
+    if (r.remaining() < 2)
+        return std::nullopt;
+    if (r.u16() != kArchiveVersion)
+        throw ArchiveError("unsupported archive version in " + path);
+    if (r.remaining() < 4)
+        return std::nullopt;
+    const std::uint32_t ctx_len = r.u32();
+    if (ctx_len > kMaxContext)
+        throw ArchiveError("not a result archive (bad header): " + path);
+    if (r.remaining() < std::size_t{ctx_len} + 4)
+        return std::nullopt;
+    const std::uint8_t *ctx = r.bytes(ctx_len);
+    if (util::crc32(ctx, ctx_len) != r.u32())
+        return std::nullopt;
+    if (std::string(reinterpret_cast<const char *>(ctx), ctx_len) !=
+        context)
+        throw ArchiveError("archive context mismatch in " + path);
+    return size - r.remaining();
+}
+
+ArchiveScan
+ResultArchive::scanRecords(const std::uint8_t *data, std::size_t size,
+                           std::uint64_t base)
+{
+    ArchiveScan scan;
+    PayloadReader r(data, size);
+    while (r.remaining() >= 4) {
+        const std::uint32_t len = r.u32();
+        if (len < 4 || len > kMaxRecordPayload ||
+            r.remaining() < len + 4u)
+            break;
+        const std::uint8_t *payload = r.bytes(len);
+        if (util::crc32(payload, len) != r.u32())
+            break;
+        PayloadReader p(payload, len);
+        const std::uint32_t key_len = p.u32();
+        if (p.remaining() != std::size_t{key_len} * 8 + 8)
+            break;
+        ArchiveRecord record;
+        record.key.resize(key_len);
+        for (auto &k : record.key)
+            k = static_cast<std::int64_t>(p.u64());
+        record.value = p.f64();
+        scan.consumed = size - r.remaining();
+        record.end_offset = base + scan.consumed;
+        scan.records.push_back(std::move(record));
+    }
+    return scan;
 }
 
 } // namespace ppm::serve

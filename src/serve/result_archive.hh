@@ -5,7 +5,7 @@
  *
  * File format (all integers little-endian):
  *
- *     header:  u32 magic 'PPMA'    (0x50504D41)
+ *     header:  u32 magic 'PPMA'
  *              u16 version
  *              u32 context_len, context bytes, u32 crc(context)
  *     record:  u32 payload_len, payload, u32 crc(payload)
@@ -15,11 +15,14 @@
  * (benchmark, trace length, warmup, metric); opening an archive with
  * a different context fails rather than silently mixing result sets.
  *
- * Crash recovery: on open, records are scanned sequentially; the
- * first truncated or CRC-corrupted record marks the recovered end of
- * the log — earlier records load normally, the corrupt tail is
- * counted in recordsSkipped() and truncated away so subsequent
- * appends re-establish a clean log.
+ * This class is the only code that knows the layout: ArchiveTailer
+ * follows live archives through parseHeader() and scanRecords().
+ *
+ * Crash recovery: on open, scanRecords() reads records sequentially;
+ * the first short, oversized or CRC-corrupted record marks the
+ * recovered end of the log — earlier records load normally, the
+ * corrupt tail is counted in recordsSkipped() and truncated away so
+ * subsequent appends re-establish a clean log.
  *
  * Concurrency: appends are single write() calls made under an
  * exclusive flock(), so multiple oracles — including oracles in
@@ -32,9 +35,9 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/oracle.hh"
@@ -48,9 +51,37 @@ class ArchiveError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/** One record parsed from an archive. */
+struct ArchiveRecord
+{
+    core::ResultStore::Key key;
+    double value = 0.0;
+    /** Absolute byte offset one past this record in the file. */
+    std::uint64_t end_offset = 0;
+};
+
+/** What ResultArchive::scanRecords() found in a byte range. */
+struct ArchiveScan
+{
+    std::vector<ArchiveRecord> records;
+    /**
+     * Bytes taken by the records: everything before the first record
+     * that is short, too large, fails its CRC or holds a malformed
+     * payload.
+     */
+    std::size_t consumed = 0;
+};
+
 class ResultArchive final : public core::ResultStore
 {
   public:
+    /** Longest context string a header can carry. */
+    static constexpr std::size_t kMaxContext = 4096;
+
+    /** Longest encoded header: magic, version, context, CRC. */
+    static constexpr std::size_t kMaxHeaderBytes = 4 + 2 + 4 +
+                                                   kMaxContext + 4;
+
     /**
      * Open (creating if absent) the archive at @p path for
      * @p context, loading every intact record and truncating any
@@ -91,13 +122,35 @@ class ResultArchive final : public core::ResultStore
                                    std::uint64_t warmup,
                                    core::Metric metric);
 
+    /**
+     * Parse the header at the start of @p data, which must name
+     * @p context. Returns the header size, or nullopt while the
+     * header is incomplete: too few bytes, or a context CRC mismatch
+     * (a torn read of a header still being written).
+     * @throws ArchiveError when it is invalid: bad magic, version or
+     *         context length, or another context (@p path names the
+     *         file in the message).
+     */
+    static std::optional<std::size_t> parseHeader(
+        const std::uint8_t *data, std::size_t size,
+        const std::string &context, const std::string &path);
+
+    /**
+     * Parse records from @p data, which sits at file offset @p base,
+     * up to the first record that is short, too large, fails its CRC
+     * or holds a malformed payload. Never throws on bad bytes.
+     */
+    static ArchiveScan scanRecords(const std::uint8_t *data,
+                                   std::size_t size,
+                                   std::uint64_t base);
+
   private:
     void openAndRecover();
 
     std::string path_;
     std::string context_;
     int fd_ = -1;
-    std::vector<std::pair<Key, double>> entries_;
+    std::vector<ArchiveRecord> entries_;
     std::size_t skipped_ = 0;
     std::mutex mutex_;
 };

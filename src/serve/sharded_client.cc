@@ -16,22 +16,9 @@ namespace ppm::serve {
 std::vector<std::string>
 socketsFromEnv()
 {
-    std::vector<std::string> sockets;
     const char *env = std::getenv(kSocketEnvVar);
-    if (env == nullptr)
-        return sockets;
-    std::string value(env);
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        const std::string item = value.substr(start, comma - start);
-        if (!item.empty())
-            sockets.push_back(item);
-        start = comma + 1;
-    }
-    return sockets;
+    return env == nullptr ? std::vector<std::string>{}
+                          : splitEndpointSpecs(env);
 }
 
 ShardedClient::ShardedClient(RemoteOptions options)

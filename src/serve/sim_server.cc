@@ -254,7 +254,7 @@ SimServer::handlePredict(const Frame &frame)
     if (!model)
         return encodeError({"no model loaded"});
 
-    OBS_SPAN("span.predict");
+    OBS_SPAN("serve.predict");
     OBS_STATIC_COUNTER(predict_requests, "predict.requests");
     OBS_ADD(predict_requests, 1);
     OBS_STATIC_COUNTER(predict_points, "predict.points");
@@ -391,17 +391,6 @@ sloHistogramFor(MsgType type)
     }
 }
 
-/** Is this encoded reply an Error frame? (type field at offset 6) */
-bool
-isErrorReply(const std::vector<std::uint8_t> &reply)
-{
-    if (reply.size() < kHeaderSize)
-        return false;
-    const std::uint16_t type = static_cast<std::uint16_t>(
-        reply[6] | (static_cast<std::uint16_t>(reply[7]) << 8));
-    return type == static_cast<std::uint16_t>(MsgType::Error);
-}
-
 } // namespace
 
 void
@@ -426,13 +415,10 @@ SimServer::serveConnection(int fd)
             break;
         }
 
-        // The requester's trace context rides the v4 header: install
-        // it so every span this request touches (cache, RBF kernel,
-        // nested oracles) joins the distributed trace. The reply is
-        // encoded in the requester's wire version, so a v3 poller
-        // gets v3 frames back from a v4 server.
+        // The requester's trace context rides the frame header:
+        // install it so every span this request touches (cache, RBF
+        // kernel, nested oracles) joins the distributed trace.
         obs::ScopedTraceContext trace_scope(frame.trace);
-        ScopedWireVersion wire_version(frame.version);
         const std::uint64_t slo_start = obs::monotonicNs();
 
         std::vector<std::uint8_t> reply;
@@ -507,7 +493,8 @@ SimServer::serveConnection(int fd)
         }
         sloHistogramFor(frame.type).observe(obs::monotonicNs() -
                                             slo_start);
-        if (isErrorReply(reply)) {
+        if (decodeHeader(reply.data(), reply.size()).type ==
+            MsgType::Error) {
             OBS_STATIC_COUNTER(error_replies, "slo.errors.replies");
             OBS_ADD(error_replies, 1);
         }

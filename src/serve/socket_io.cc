@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "serve/fault_injector.hh"
+#include "serve/transport.hh"
 
 namespace ppm::serve {
 
@@ -370,13 +371,30 @@ readFrame(int fd, int timeout_ms)
     std::vector<std::uint8_t> buf(kHeaderSize);
     recvAll(fd, buf.data(), kHeaderSize, timeout_ms);
     const FrameHeader header = decodeHeader(buf.data(), buf.size());
-    // v4 frames carry a trace-context block between header and
-    // payload; the version in the validated header sizes it.
-    const std::size_t rest = traceBlockSize(header.version) +
-                             header.payload_len + kTrailerSize;
+    const std::size_t rest =
+        kTraceBlockSize + header.payload_len + kTrailerSize;
     buf.resize(kHeaderSize + rest);
     recvAll(fd, buf.data() + kHeaderSize, rest, timeout_ms);
     return decodeFrame(buf);
+}
+
+Frame
+requestOnce(const std::string &endpoint,
+            const std::vector<std::uint8_t> &request, MsgType reply_type,
+            int timeout_ms)
+{
+    const FdGuard fd =
+        connectEndpoint(parseEndpoint(endpoint), timeout_ms);
+    writeFrame(fd.get(), request, timeout_ms);
+    Frame reply = readFrame(fd.get(), timeout_ms);
+    if (reply.type == MsgType::Error)
+        throw ProtocolError("server error: " +
+                            parseError(reply.payload).message);
+    if (reply.type != reply_type)
+        throw ProtocolError(
+            "unexpected reply type " +
+            std::to_string(static_cast<unsigned>(reply.type)));
+    return reply;
 }
 
 } // namespace ppm::serve

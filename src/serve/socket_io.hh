@@ -135,6 +135,18 @@ void writeFrame(int fd, const std::vector<std::uint8_t> &frame,
  */
 Frame readFrame(int fd, int timeout_ms);
 
+/**
+ * One exchange on a fresh connection to the endpoint spec
+ * @p endpoint: connect, write @p request, read the reply. An Error
+ * reply raises ProtocolError carrying the server's message; a reply
+ * of any type other than @p reply_type raises ProtocolError too.
+ * @p timeout_ms bounds the connect and each frame transfer.
+ * @throws IoError on socket failure.
+ */
+Frame requestOnce(const std::string &endpoint,
+                  const std::vector<std::uint8_t> &request,
+                  MsgType reply_type, int timeout_ms);
+
 } // namespace ppm::serve
 
 #endif // PPM_SERVE_SOCKET_IO_HH

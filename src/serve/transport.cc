@@ -52,20 +52,28 @@ parseEndpoint(const std::string &spec)
     return ep;
 }
 
-std::vector<Endpoint>
-parseEndpointList(const std::string &specs)
+std::vector<std::string>
+splitEndpointSpecs(const std::string &specs)
 {
-    std::vector<Endpoint> endpoints;
+    std::vector<std::string> items;
     std::size_t start = 0;
     while (start <= specs.size()) {
         std::size_t comma = specs.find(',', start);
         if (comma == std::string::npos)
             comma = specs.size();
         if (comma > start)
-            endpoints.push_back(
-                parseEndpoint(specs.substr(start, comma - start)));
+            items.push_back(specs.substr(start, comma - start));
         start = comma + 1;
     }
+    return items;
+}
+
+std::vector<Endpoint>
+parseEndpointList(const std::string &specs)
+{
+    std::vector<Endpoint> endpoints;
+    for (const std::string &spec : splitEndpointSpecs(specs))
+        endpoints.push_back(parseEndpoint(spec));
     return endpoints;
 }
 

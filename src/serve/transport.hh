@@ -60,6 +60,9 @@ struct Endpoint
  */
 Endpoint parseEndpoint(const std::string &spec);
 
+/** Split a comma-separated endpoint list (empty items skipped). */
+std::vector<std::string> splitEndpointSpecs(const std::string &specs);
+
 /** Parse a comma-separated endpoint list (empty items skipped). */
 std::vector<Endpoint> parseEndpointList(const std::string &specs);
 

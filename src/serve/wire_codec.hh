@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared little-endian byte codec of the serve plane: the
- * bounds-checked writer/reader behind both the wire protocol
- * (protocol.cc) and the model snapshot format (model_snapshot.cc).
+ * The one little-endian byte codec of the repo: the bounds-checked
+ * writer/reader behind the wire protocol (protocol.cc), model
+ * snapshots (model_snapshot.cc), result archives (result_archive.cc)
+ * and trainer state files (online_trainer.cc).
  *
  * Everything is encoded explicitly byte by byte, so images are
  * endianness-independent: a snapshot published on a big-endian host
@@ -33,6 +34,13 @@ class PayloadWriter
     void u64(std::uint64_t v) { put<8>(v); }
 
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    /** Append @p n raw bytes. */
+    void
+    bytes(const std::uint8_t *data, std::size_t n)
+    {
+        bytes_.insert(bytes_.end(), data, data + n);
+    }
 
     void
     str(const std::string &s)
@@ -108,6 +116,16 @@ class PayloadReader
     }
 
     double f64() { return std::bit_cast<double>(u64()); }
+
+    /** Skip @p n raw bytes, returning where they start. */
+    const std::uint8_t *
+    bytes(std::size_t n)
+    {
+        need(n);
+        const std::uint8_t *start = data_ + pos_;
+        pos_ += n;
+        return start;
+    }
 
     std::string
     str()

@@ -1,21 +1,16 @@
 #include "train/online_trainer.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <exception>
+#include <system_error>
 #include <utility>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "obs/event_log.hh"
 #include "obs/trace_span.hh"
 #include "serve/wire_codec.hh"
 #include "util/crc32.hh"
+#include "util/file_io.hh"
 
 namespace ppm::train {
 
@@ -30,12 +25,6 @@ constexpr double kErrorFloor = 0.02;
 
 /** State files are small; cap guards against garbage length words. */
 constexpr std::uint32_t kMaxStatePayload = 1u << 28;
-
-[[noreturn]] void
-throwErrno(const std::string &what)
-{
-    throw TrainerStateError(what + ": " + std::strerror(errno));
-}
 
 /** Invert a memo key (llround(v * 1e6) per coordinate) to a point. */
 dspace::DesignPoint
@@ -178,7 +167,7 @@ OnlineTrainer::step()
               [](const Key *a, const Key *b) { return *a < *b; });
 
     if (fit_) {
-        OBS_SPAN("train.fold");
+        OBS_SPAN("train.fold_epoch");
         for (const Key *key : fresh) {
             const dspace::UnitPoint x =
                 space_.toUnit(keyToPoint(*key));
@@ -357,62 +346,34 @@ OnlineTrainer::loadState()
 {
     if (options_.state_path.empty())
         return;
-    const int fd =
-        ::open(options_.state_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-        if (errno == ENOENT)
-            return; // first run
-        throwErrno("open " + options_.state_path);
-    }
     std::vector<std::uint8_t> bytes;
-    {
-        struct stat st{};
-        if (::fstat(fd, &st) < 0) {
-            const int err = errno;
-            ::close(fd);
-            errno = err;
-            throwErrno("fstat " + options_.state_path);
-        }
-        bytes.resize(static_cast<std::size_t>(st.st_size));
-        std::size_t got = 0;
-        while (got < bytes.size()) {
-            const ssize_t n =
-                ::pread(fd, bytes.data() + got, bytes.size() - got,
-                        static_cast<off_t>(got));
-            if (n <= 0) {
-                if (n < 0 && errno == EINTR)
-                    continue;
-                break;
-            }
-            got += static_cast<std::size_t>(n);
-        }
-        ::close(fd);
-        bytes.resize(got);
+    try {
+        bytes = util::readFile(options_.state_path);
+    } catch (const std::system_error &e) {
+        if (e.code() == std::errc::no_such_file_or_directory)
+            return; // first run
+        throw TrainerStateError(e.what());
     }
 
     try {
-        serve::PayloadReader header(bytes.data(), bytes.size());
-        if (header.u32() != kStateMagic)
+        serve::PayloadReader image(bytes.data(), bytes.size());
+        if (image.u32() != kStateMagic)
             throw TrainerStateError("not a trainer state file: " +
                                     options_.state_path);
-        if (header.u16() != kStateVersion)
+        if (image.u16() != kStateVersion)
             throw TrainerStateError(
                 "unsupported trainer state version in " +
                 options_.state_path);
-        const std::uint32_t payload_len = header.u32();
+        const std::uint32_t payload_len = image.u32();
         if (payload_len > kMaxStatePayload ||
-            payload_len > header.remaining())
+            payload_len > image.remaining())
             throw TrainerStateError("trainer state truncated: " +
                                     options_.state_path);
-        const std::uint8_t *payload =
-            bytes.data() + (bytes.size() - header.remaining());
-        serve::PayloadReader crc_tail(payload + payload_len,
-                                      header.remaining() -
-                                          payload_len);
-        if (crc_tail.u32() != util::crc32(payload, payload_len))
+        const std::uint8_t *payload = image.bytes(payload_len);
+        if (image.u32() != util::crc32(payload, payload_len))
             throw TrainerStateError("trainer state corrupt: " +
                                     options_.state_path);
-        crc_tail.expectEnd();
+        image.expectEnd();
 
         serve::PayloadReader in(payload, payload_len);
         if (in.str() != context_)
@@ -475,54 +436,14 @@ OnlineTrainer::persistState() const
     image.u32(kStateMagic);
     image.u16(kStateVersion);
     image.u32(static_cast<std::uint32_t>(payload.size()));
-    const std::vector<std::uint8_t> head = image.take();
-
-    // Atomic checkpoint: temp file in the same directory, fsync,
-    // rename — a SIGKILL at any instant leaves either the complete
-    // old state or the complete new one (mirrors saveSnapshot).
-    const std::string tmp = options_.state_path + ".tmp." +
-                            std::to_string(::getpid());
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0)
-        throwErrno("open " + tmp);
-    const auto write_all = [&](const std::uint8_t *data,
-                               std::size_t size) {
-        std::size_t done = 0;
-        while (done < size) {
-            const ssize_t n = ::write(fd, data + done, size - done);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                const int err = errno;
-                ::close(fd);
-                ::unlink(tmp.c_str());
-                errno = err;
-                throwErrno("write " + tmp);
-            }
-            done += static_cast<std::size_t>(n);
-        }
-    };
-    write_all(head.data(), head.size());
-    write_all(payload.data(), payload.size());
-    serve::PayloadWriter crc;
-    crc.u32(util::crc32(payload.data(), payload.size()));
-    const std::vector<std::uint8_t> tail = crc.take();
-    write_all(tail.data(), tail.size());
-    if (::fsync(fd) < 0) {
-        const int err = errno;
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        errno = err;
-        throwErrno("fsync " + tmp);
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), options_.state_path.c_str()) < 0) {
-        const int err = errno;
-        ::unlink(tmp.c_str());
-        errno = err;
-        throwErrno("rename " + tmp);
+    image.bytes(payload.data(), payload.size());
+    image.u32(util::crc32(payload.data(), payload.size()));
+    // Atomic checkpoint: a SIGKILL at any instant leaves either the
+    // complete old state or the complete new one.
+    try {
+        util::replaceFile(options_.state_path, image.take());
+    } catch (const std::system_error &e) {
+        throw TrainerStateError(e.what());
     }
 }
 

@@ -58,7 +58,8 @@
  *
  * Metrics: train.folds / train.refits / train.publishes /
  * train.tail.records / train.tail.retries counters; spans
- * train.step, train.fold, train.refit, train.publish, train.tail.
+ * train.step, train.fold_epoch (one epoch's folds; each single fold
+ * is train.fold), train.refit, train.publish, train.tail.
  */
 
 #ifndef PPM_TRAIN_ONLINE_TRAINER_HH

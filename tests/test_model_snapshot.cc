@@ -4,9 +4,8 @@
  * encode is byte-identical; save -> load -> predict is bit-identical
  * to the in-process network), semantic validation of every poisoned
  * field class (non-finite floats, non-positive radii, count lies,
- * degenerate parameters), the version-gated hot-swap slot, and the
- * non-finite regression tests for the text serializer that feeds
- * snapshots (rbf/serialize).
+ * degenerate parameters), format-version rejection, and the
+ * version-gated hot-swap slot.
  *
  * Corruption tests here are *targeted*: each one patches a known
  * field inside a CRC-corrected image so the semantic check — not the
@@ -19,7 +18,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,7 +27,6 @@
 #include "dspace/paper_space.hh"
 #include "linreg/model_selection.hh"
 #include "math/rng.hh"
-#include "rbf/serialize.hh"
 #include "rbf/trainer.hh"
 #include "sampling/sample_gen.hh"
 #include "serve/model_host.hh"
@@ -384,6 +381,45 @@ TEST(ModelSnapshot, DecodeRejectsHeaderCorruption)
                  serve::SnapshotError);
 }
 
+TEST(ModelSnapshot, DecodeRejectsFormatOneImage)
+{
+    // A genuine format-1 image: the format-2 layout without the
+    // cv_error field, with payload_len and the CRC fixed up.
+    serve::ModelSnapshot snap = trainedSnapshot();
+    snap.cv_error = 0.25;
+    const Bytes image = serve::encodeSnapshot(snap);
+    snap.cv_error = std::nextafter(0.25, 1.0); // differs in byte 0
+    const std::size_t cv_off =
+        firstDiffOffset(image, serve::encodeSnapshot(snap));
+    Bytes payload(image.begin() + serve::kSnapshotHeaderSize,
+                  image.end() - 4);
+    payload.erase(payload.begin() + static_cast<long>(cv_off),
+                  payload.begin() + static_cast<long>(cv_off) + 8);
+
+    Bytes v1(image.begin(), image.begin() + serve::kSnapshotHeaderSize);
+    v1[4] = 1; // format
+    v1[5] = 0;
+    const auto put32 = [&v1](std::size_t at, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            v1[at + static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    put32(8, static_cast<std::uint32_t>(payload.size()));
+    v1.insert(v1.end(), payload.begin(), payload.end());
+    v1.resize(v1.size() + 4);
+    put32(v1.size() - 4, util::crc32(payload.data(), payload.size()));
+
+    try {
+        (void)serve::decodeSnapshot(v1);
+        ADD_FAILURE() << "format-1 image was accepted";
+    } catch (const serve::SnapshotError &e) {
+        // Rejected for its format code, before any payload parsing.
+        EXPECT_NE(std::string(e.what()).find("format version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ModelSnapshot, DecodeRejectsEveryTruncation)
 {
     const Bytes image = serve::encodeSnapshot(trainedSnapshot());
@@ -473,55 +509,6 @@ TEST(ModelHost, LoadFailuresAreCountedNotFatal)
     EXPECT_EQ(host.loadFailures(), 1u);
     EXPECT_EQ(host.current(), nullptr);
     ::unlink(path.c_str());
-}
-
-TEST(RbfSerialize, SaveRejectsNonFiniteWeight)
-{
-    // Regression: least squares on a degenerate system can emit NaN
-    // weights; serializing one used to round-trip silently and
-    // poison every prediction served from the reloaded model.
-    rbf::RbfNetwork network(
-        {rbf::GaussianBasis({0.5}, {0.5})},
-        {std::numeric_limits<double>::quiet_NaN()});
-    std::ostringstream os;
-    EXPECT_THROW(rbf::saveNetwork(network, os), std::runtime_error);
-
-    rbf::RbfNetwork inf_net(
-        {rbf::GaussianBasis({0.5}, {0.5})},
-        {std::numeric_limits<double>::infinity()});
-    std::ostringstream os2;
-    EXPECT_THROW(rbf::saveNetwork(inf_net, os2), std::runtime_error);
-}
-
-TEST(RbfSerialize, LoadRejectsNonFiniteAndNonPositiveFields)
-{
-    // Whether the stream parses "nan" to a NaN (then the finiteness
-    // check fires) or refuses the token (then the truncation check
-    // fires), the load must throw — never return a poisoned network.
-    const std::string header = "ppm-rbfnet 1\ndims 1 bases 1\n";
-    for (const char *line :
-         {"0.5 0.5 nan\n", "0.5 nan 1.0\n", "nan 0.5 1.0\n",
-          "0.5 0.5 inf\n", "0.5 0 1.0\n", "0.5 -1 1.0\n"}) {
-        std::istringstream is(header + line);
-        EXPECT_THROW((void)rbf::loadNetwork(is), std::runtime_error)
-            << "line: " << line;
-    }
-}
-
-TEST(RbfSerialize, FiniteNetworkStillRoundTrips)
-{
-    const rbf::RbfNetwork network(
-        {rbf::GaussianBasis({0.25, 0.75}, {0.5, 1.5})},
-        {2.125});
-    std::stringstream ss;
-    rbf::saveNetwork(network, ss);
-    const rbf::RbfNetwork loaded = rbf::loadNetwork(ss);
-    ASSERT_EQ(loaded.numBases(), 1u);
-    EXPECT_EQ(loaded.weights()[0], 2.125);
-    EXPECT_EQ(loaded.bases()[0].center(),
-              network.bases()[0].center());
-    EXPECT_EQ(loaded.bases()[0].radius(),
-              network.bases()[0].radius());
 }
 
 } // namespace

@@ -399,9 +399,17 @@ TEST(ObsMetrics, MergeSumsByName)
     Snapshot a;
     a.counters = {{"x", 1}, {"y", 2}};
     a.gauges = {{"g", 5}};
+    a.histograms = {{"slo.predict", 2, 3000,
+                     std::vector<std::uint64_t>(Histogram::kBuckets, 0)}};
+    a.histograms[0].buckets[1] = 2;
     Snapshot b;
     b.counters = {{"y", 10}, {"z", 100}};
     b.gauges = {{"g", -2}};
+    b.histograms = a.histograms;
+    b.histograms[0].count = 3;
+    b.histograms[0].total_ns = 9000;
+    b.histograms[0].buckets[1] = 1;
+    b.histograms[0].buckets[5] = 2;
     merge(a, b);
     ASSERT_EQ(a.counters.size(), 3u);
     EXPECT_EQ(a.counters[0].name, "x");
@@ -412,6 +420,13 @@ TEST(ObsMetrics, MergeSumsByName)
     EXPECT_EQ(a.counters[2].value, 100u);
     ASSERT_EQ(a.gauges.size(), 1u);
     EXPECT_EQ(a.gauges[0].value, 3);
+    ASSERT_EQ(a.histograms.size(), 1u);
+    EXPECT_EQ(a.histograms[0].count, 5u);
+    EXPECT_EQ(a.histograms[0].total_ns, 12000u);
+    ASSERT_EQ(a.histograms[0].buckets.size(),
+              static_cast<std::size_t>(Histogram::kBuckets));
+    EXPECT_EQ(a.histograms[0].buckets[1], 3u);
+    EXPECT_EQ(a.histograms[0].buckets[5], 2u);
 }
 
 TEST(ObsMetrics, DeltaSubtractsCountersClampedAtZero)

@@ -369,6 +369,21 @@ TEST(ProtocolFuzz, Version1FramesAreRejected)
         EXPECT_THROW((void)serve::decodeFrame(v1),
                      serve::ProtocolError);
     }
+    // Exhaustive, like the type-code sweep below: of all 2^16 version
+    // codes exactly kVersion passes the header check.
+    const Bytes frame = serve::encodePing(1);
+    int accepted = 0;
+    for (std::uint32_t v = 0; v < 0x10000; ++v) {
+        Bytes m = frame;
+        putU16(m, kVersionOffset, static_cast<std::uint16_t>(v));
+        try {
+            (void)serve::decodeHeader(m.data(), m.size());
+            ++accepted;
+            EXPECT_EQ(v, serve::kVersion);
+        } catch (const serve::ProtocolError &) {
+        }
+    }
+    EXPECT_EQ(accepted, 1);
 }
 
 TEST(ProtocolFuzz, HeaderRejectsEveryUnknownTypeCode)

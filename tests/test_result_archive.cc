@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "core/oracle.hh"
 #include "dspace/paper_space.hh"
 #include "sampling/sample_gen.hh"
+#include "serve/archive_tail.hh"
 #include "serve/result_archive.hh"
 #include "trace/benchmark_profile.hh"
 #include "trace/trace_generator.hh"
@@ -190,6 +193,92 @@ TEST_F(ResultArchiveTest, NonArchiveFileIsRejected)
     const std::string path = archivePath("junk.ppma");
     std::ofstream(path) << "definitely not an archive";
     EXPECT_THROW(ResultArchive(path, "ctx"), ArchiveError);
+}
+
+TEST_F(ResultArchiveTest, GoldenBytesOfHeaderAndOneRecord)
+{
+    // Pins the on-disk layout: any codec change that moves a byte of
+    // an existing archive fails here.
+    {
+        ResultArchive archive(archivePath(), "mcf|t1000|w0|CPI");
+        archive.append({1'000'000, -2'500'000}, 1.5);
+    }
+    const std::vector<std::uint8_t> golden = {
+        // header: magic 'PPMA', version 1, context_len 16, context,
+        // crc(context)
+        0x41, 0x4d, 0x50, 0x50, 0x01, 0x00, 0x10, 0x00, 0x00, 0x00,
+        'm', 'c', 'f', '|', 't', '1', '0', '0', '0', '|', 'w', '0',
+        '|', 'C', 'P', 'I', 0x4c, 0x22, 0x45, 0xac,
+        // record: payload_len 28, key_len 2, two i64 keys, f64 1.5,
+        // crc(payload)
+        0x1c, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x40, 0x42, 0x0f, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x60, 0xda, 0xd9, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,
+        0x66, 0x69, 0xb8, 0xd6};
+    std::ifstream in(archivePath(), std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, golden);
+}
+
+TEST_F(ResultArchiveTest, TailerAgreesWithOwnerOnEveryCutAndBitFlip)
+{
+    // The owner (truncates at the first bad record) and the follower
+    // (stops there and retries) must recover exactly the same records
+    // from any damaged tail. The tailer reads a copy taken before the
+    // owner truncates its file.
+    std::size_t header_end = 0;
+    {
+        ResultArchive archive(archivePath(), "ctx");
+        header_end = fs::file_size(archivePath());
+        archive.append({1, 2}, 0.5);
+        archive.append({3}, -1.25);
+        archive.append({4, 5, 6}, 8.0);
+    }
+    std::vector<std::uint8_t> clean;
+    {
+        std::ifstream in(archivePath(), std::ios::binary);
+        clean.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const std::string owned = archivePath("owned.ppma");
+    const std::string copy = archivePath("copy.ppma");
+    const auto check = [&](const std::vector<std::uint8_t> &image,
+                           const std::string &what) {
+        for (const std::string &path : {owned, copy}) {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(image.data()),
+                      static_cast<std::streamsize>(image.size()));
+        }
+        serve::ArchiveTailer tailer(copy, "ctx");
+        const auto followed = tailer.poll();
+        ResultArchive owner(owned, "ctx");
+        const auto recovered = drain(owner);
+        ASSERT_EQ(followed.size(), recovered.size()) << what;
+        for (std::size_t i = 0; i < followed.size(); ++i) {
+            EXPECT_EQ(followed[i].key, recovered[i].first) << what;
+            EXPECT_EQ(std::memcmp(&followed[i].value,
+                                  &recovered[i].second, sizeof(double)),
+                      0)
+                << what;
+        }
+        // Both stop at the same byte: the tailer's resume offset is
+        // exactly where the owner truncated its file.
+        EXPECT_EQ(tailer.offset(), fs::file_size(owned)) << what;
+    };
+    for (std::size_t len = header_end; len <= clean.size(); ++len)
+        check(std::vector<std::uint8_t>(clean.begin(),
+                                        clean.begin() +
+                                            static_cast<long>(len)),
+              "cut at " + std::to_string(len));
+    for (std::size_t bit = header_end * 8; bit < clean.size() * 8;
+         ++bit) {
+        std::vector<std::uint8_t> flipped = clean;
+        flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        check(flipped, "flip of bit " + std::to_string(bit));
+    }
 }
 
 TEST_F(ResultArchiveTest, FileNameForIsContextUnique)

@@ -29,6 +29,7 @@
 #include "core/adaptive.hh"
 #include "core/oracle.hh"
 #include "dspace/paper_space.hh"
+#include "obs/metrics.hh"
 #include "rbf/trainer.hh"
 #include "sampling/sample_gen.hh"
 #include "serve/oracle_factory.hh"
@@ -244,6 +245,48 @@ TEST(ServeE2E, UnknownBenchmarkGetsErrorReply)
     const serve::Frame reply = serve::readFrame(conn.get(), 30'000);
     EXPECT_EQ(reply.type, serve::MsgType::Error);
     server.stop();
+}
+
+TEST(ServeE2E, RequestOnceTypesErrorAndWrongReplies)
+{
+    // The one-shot exchange behind ppm_stats, ppm_trace, ppm_trainer
+    // and ppm_publish: the expected reply comes back, an Error reply
+    // raises ProtocolError with the server's message, and so does a
+    // reply of any other type.
+    const std::string sock = uniqueSocket("once");
+    serve::SimServer server(serverOptions(sock, 1));
+    server.start();
+    const obs::Counter &error_replies =
+        obs::Registry::instance().counter("slo.errors.replies");
+    [[maybe_unused]] const std::uint64_t errors_before =
+        error_replies.value();
+    const serve::Frame pong = serve::requestOnce(
+        sock, serve::encodePing(7), serve::MsgType::Pong, 1000);
+    EXPECT_EQ(serve::parsePong(pong.payload), 7u);
+
+    serve::PredictRequest req;
+    req.points = {scenario().batch.front()};
+    try {
+        (void)serve::requestOnce(sock, serve::encodePredictRequest(req),
+                                 serve::MsgType::PredictResponse, 1000);
+        ADD_FAILURE() << "an Error reply was accepted";
+    } catch (const serve::ProtocolError &e) {
+        EXPECT_NE(std::string(e.what()).find("no model loaded"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW((void)serve::requestOnce(sock, serve::encodePing(7),
+                                          serve::MsgType::StatsResponse,
+                                          1000),
+                 serve::ProtocolError);
+#ifndef PPM_OBS_DISABLED
+    // The server counts the one Error reply it sent.
+    EXPECT_EQ(error_replies.value() - errors_before, 1u);
+#endif
+    server.stop();
+    EXPECT_THROW((void)serve::requestOnce(sock, serve::encodePing(7),
+                                          serve::MsgType::Pong, 1000),
+                 serve::IoError);
 }
 
 TEST(ServeE2E, ServerKilledMidBatchIsRetriedAndCompletes)
@@ -542,6 +585,14 @@ TEST(Transport, EndpointGrammar)
     ASSERT_EQ(list.size(), 2u);
     EXPECT_EQ(list[0].kind, Endpoint::Kind::Unix);
     EXPECT_EQ(list[1].kind, Endpoint::Kind::Tcp);
+}
+
+TEST(Transport, EndpointListSplitSkipsEmptyItems)
+{
+    EXPECT_EQ(serve::splitEndpointSpecs(",/tmp/a.sock,,h:1,"),
+              (std::vector<std::string>{"/tmp/a.sock", "h:1"}));
+    EXPECT_TRUE(serve::splitEndpointSpecs("").empty());
+    EXPECT_TRUE(serve::splitEndpointSpecs(",,").empty());
 }
 
 TEST(ServeE2E, TcpShardBitIdenticalToLocal)

@@ -2,10 +2,8 @@
  * @file
  * Distributed trace-context unit suite: deterministic 1-in-N root
  * sampling, span parenting through nested ScopedSpans and the thread
- * pool, SpanBuffer overflow accounting, the v4 frame trace block
- * (round trip + propagation into encoded frames), and wire-version
- * skew — a v3 poller against a v4 server must get v3 frames back and
- * STATS snapshots from mixed-version servers must merge cleanly.
+ * pool, SpanBuffer overflow accounting, and the frame trace block
+ * (round trip + propagation into encoded frames).
  */
 
 #include <gtest/gtest.h>
@@ -199,7 +197,7 @@ TEST(TraceContext, JsonlDumpRoundTripsSpanFields)
     EXPECT_NE(text.find("\"pid\":"), std::string::npos);
 }
 
-// --- protocol v4 trace block -----------------------------------------
+// --- frame trace block -----------------------------------------------
 
 TEST(TraceWire, FrameCarriesTheThreadContext)
 {
@@ -213,7 +211,8 @@ TEST(TraceWire, FrameCarriesTheThreadContext)
 
     const auto bytes = serve::encodePing(7);
     const serve::Frame frame = serve::decodeFrame(bytes);
-    EXPECT_EQ(frame.version, serve::kVersion);
+    EXPECT_EQ(bytes.size(), serve::kHeaderSize + serve::kTraceBlockSize +
+                                8 + serve::kTrailerSize);
     EXPECT_EQ(frame.trace.trace_hi, ctx.trace_hi);
     EXPECT_EQ(frame.trace.trace_lo, ctx.trace_lo);
     EXPECT_EQ(frame.trace.parent_span_id, ctx.parent_span_id);
@@ -223,10 +222,12 @@ TEST(TraceWire, FrameCarriesTheThreadContext)
 TEST(TraceWire, UntracedFrameCarriesAZeroContext)
 {
     obs::setTraceSampleEvery(0);
-    const serve::Frame frame =
-        serve::decodeFrame(serve::encodePing(7));
+    const auto bytes = serve::encodePing(7);
+    const serve::Frame frame = serve::decodeFrame(bytes);
     EXPECT_FALSE(frame.trace.valid());
-    EXPECT_EQ(frame.version, serve::kVersion);
+    // The block is sent all-zero, never omitted.
+    EXPECT_EQ(bytes.size(), serve::kHeaderSize + serve::kTraceBlockSize +
+                                8 + serve::kTrailerSize);
 }
 
 TEST(TraceWire, TraceRequestAndResponseRoundTrip)
@@ -268,98 +269,6 @@ TEST(TraceWire, TraceRequestAndResponseRoundTrip)
     EXPECT_EQ(parsed.spans[0].name, "serve.request");
     EXPECT_EQ(parsed.spans[0].start_unix_ns, span.start_unix_ns);
     EXPECT_EQ(parsed.spans[0].tid, 3u);
-}
-
-// --- wire-version skew ------------------------------------------------
-
-TEST(VersionSkew, V3FramesHaveNoTraceBlockAndStillDecode)
-{
-    serve::ScopedWireVersion v3(3);
-    const auto bytes = serve::encodePing(9);
-    // v3 layout: 12-byte header + payload + CRC, no trace block.
-    EXPECT_EQ(bytes.size(),
-              serve::kHeaderSize + 8 + serve::kTrailerSize);
-    const serve::Frame frame = serve::decodeFrame(bytes);
-    EXPECT_EQ(frame.version, 3u);
-    EXPECT_FALSE(frame.trace.valid());
-    EXPECT_EQ(serve::parsePing(frame.payload), 9u);
-}
-
-TEST(VersionSkew, V4FrameIsExactlyTraceBlockLongerThanV3)
-{
-    std::size_t v3_size = 0;
-    {
-        serve::ScopedWireVersion v3(3);
-        v3_size = serve::encodePing(1).size();
-    }
-    EXPECT_EQ(serve::encodePing(1).size(),
-              v3_size + serve::kTraceBlockSize);
-}
-
-TEST(VersionSkew, RejectsVersionsOutsideTheSupportedRange)
-{
-    EXPECT_THROW(serve::ScopedWireVersion bad(2),
-                 serve::ProtocolError);
-    EXPECT_THROW(serve::ScopedWireVersion bad(5),
-                 serve::ProtocolError);
-}
-
-TEST(VersionSkew, StatsRoundTripsAndMergesAcrossVersions)
-{
-    // A v3 poller asking a v4 server for STATS: the reply is encoded
-    // in the requester's version, and snapshots polled from mixed
-    // v3/v4 servers merge cleanly (satellite: minor-version skew).
-    obs::Snapshot snap_v3;
-    snap_v3.counters.push_back({"serve.requests", 10});
-    snap_v3.histograms.push_back(
-        {"slo.predict", 2, 3000,
-         std::vector<std::uint64_t>(obs::Histogram::kBuckets, 0)});
-    snap_v3.histograms[0].buckets[1] = 2;
-
-    obs::Snapshot snap_v4 = snap_v3;
-    snap_v4.counters[0].value = 32;
-
-    std::vector<std::uint8_t> v3_bytes;
-    {
-        serve::ScopedWireVersion v3(3);
-        v3_bytes = serve::encodeStatsResponse(snap_v3);
-    }
-    const std::vector<std::uint8_t> v4_bytes =
-        serve::encodeStatsResponse(snap_v4);
-
-    const serve::Frame f3 = serve::decodeFrame(v3_bytes);
-    const serve::Frame f4 = serve::decodeFrame(v4_bytes);
-    EXPECT_EQ(f3.version, 3u);
-    EXPECT_EQ(f4.version, serve::kVersion);
-
-    // The STATS payload schema is version-independent: both parse,
-    // and the merged view sums by name exactly as same-version polls
-    // would.
-    obs::Snapshot merged = serve::parseStatsResponse(f3.payload);
-    obs::merge(merged, serve::parseStatsResponse(f4.payload));
-    ASSERT_EQ(merged.counters.size(), 1u);
-    EXPECT_EQ(merged.counters[0].value, 42u);
-    ASSERT_EQ(merged.histograms.size(), 1u);
-    EXPECT_EQ(merged.histograms[0].count, 4u);
-    EXPECT_EQ(merged.histograms[0].total_ns, 6000u);
-    EXPECT_EQ(merged.histograms[0].buckets[1], 4u);
-}
-
-TEST(VersionSkew, ReplyVersionFollowsTheThreadNotTheProcess)
-{
-    // Nested scopes restore correctly (a v4 connection served right
-    // after a v3 one must not inherit the older version).
-    EXPECT_EQ(serve::wireVersion(), serve::kVersion);
-    {
-        serve::ScopedWireVersion v3(3);
-        EXPECT_EQ(serve::wireVersion(), 3u);
-        {
-            serve::ScopedWireVersion v4(4);
-            EXPECT_EQ(serve::wireVersion(), 4u);
-        }
-        EXPECT_EQ(serve::wireVersion(), 3u);
-    }
-    EXPECT_EQ(serve::wireVersion(), serve::kVersion);
 }
 
 } // namespace

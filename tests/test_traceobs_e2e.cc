@@ -274,7 +274,7 @@ TEST(TraceObsE2E, OneSampledBatchYieldsOneMergedCrossProcessTrace)
             continue;
         pids_in_trace.insert(ev.pid);
         names_in_trace.insert(ev.name);
-        if (ev.name == "span.predict")
+        if (ev.name == "serve.predict")
             shard_pids.insert(ev.pid);
     }
     EXPECT_GE(pids_in_trace.size(), 3u)
@@ -283,7 +283,7 @@ TEST(TraceObsE2E, OneSampledBatchYieldsOneMergedCrossProcessTrace)
         << "both shard servers must serve part of the batch";
     EXPECT_TRUE(names_in_trace.count("predict.evaluate_all"))
         << "client root span missing";
-    EXPECT_TRUE(names_in_trace.count("span.predict"))
+    EXPECT_TRUE(names_in_trace.count("serve.predict"))
         << "server predict span missing";
     EXPECT_TRUE(names_in_trace.count("drift.probe"))
         << "cache-probe span missing";

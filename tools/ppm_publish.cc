@@ -49,7 +49,6 @@
 #include "serve/oracle_factory.hh"
 #include "serve/result_archive.hh"
 #include "serve/socket_io.hh"
-#include "serve/transport.hh"
 #include "trace/benchmark_profile.hh"
 #include "trace/trace_generator.hh"
 
@@ -283,18 +282,12 @@ main(int argc, char **argv)
                      snap.linear.terms().size());
 
         if (!push_endpoint.empty()) {
-            const auto image = serve::encodeSnapshot(snap);
-            serve::FdGuard fd = serve::connectEndpoint(
-                serve::parseEndpoint(push_endpoint), 5000);
-            serve::writeFrame(fd.get(),
-                              serve::encodeModelPush(image), 30000);
-            const serve::Frame reply =
-                serve::readFrame(fd.get(), 30000);
-            if (reply.type != serve::MsgType::ModelPushAck)
-                throw std::runtime_error(
-                    "unexpected push reply type");
-            const serve::ModelPushAck ack =
-                serve::parseModelPushAck(reply.payload);
+            const serve::ModelPushAck ack = serve::parseModelPushAck(
+                serve::requestOnce(push_endpoint,
+                                   serve::encodeModelPush(
+                                       serve::encodeSnapshot(snap)),
+                                   serve::MsgType::ModelPushAck, 30000)
+                    .payload);
             std::fprintf(stderr,
                          "ppm_publish: push %s (server at v%llu)%s%s\n",
                          ack.accepted ? "accepted" : "rejected",

@@ -63,36 +63,15 @@ usage(const char *argv0)
         argv0);
 }
 
-std::vector<std::string>
-splitSockets(const std::string &value)
-{
-    std::vector<std::string> sockets;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        if (comma > start)
-            sockets.push_back(value.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return sockets;
-}
-
 /** Fetch one server's snapshot; throws IoError/ProtocolError. */
 ppm::obs::Snapshot
 pollSocket(const std::string &socket, int timeout_ms)
 {
     using namespace ppm::serve;
-    FdGuard fd = connectEndpoint(parseEndpoint(socket), timeout_ms);
-    writeFrame(fd.get(), encodeStatsRequest(1), timeout_ms);
-    const Frame reply = readFrame(fd.get(), timeout_ms);
-    if (reply.type == MsgType::Error)
-        throw ProtocolError("server error: " +
-                            parseError(reply.payload).message);
-    if (reply.type != MsgType::StatsResponse)
-        throw ProtocolError("unexpected reply type");
-    return parseStatsResponse(reply.payload);
+    return parseStatsResponse(requestOnce(socket, encodeStatsRequest(1),
+                                          MsgType::StatsResponse,
+                                          timeout_ms)
+                                  .payload);
 }
 
 /** One poll: the merged view plus each endpoint's own snapshot
@@ -299,7 +278,7 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--socket" && has_value) {
-            sockets = splitSockets(argv[++i]);
+            sockets = ppm::serve::splitEndpointSpecs(argv[++i]);
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--no-local") {

@@ -72,39 +72,18 @@ usage(const char *argv0)
         argv0);
 }
 
-std::vector<std::string>
-splitSockets(const std::string &value)
-{
-    std::vector<std::string> sockets;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        if (comma > start)
-            sockets.push_back(value.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return sockets;
-}
-
 /** Pull one server's span buffer; throws IoError/ProtocolError. */
 TraceDump
 pullSocket(const std::string &socket, bool drain, int timeout_ms)
 {
     using namespace ppm::serve;
-    FdGuard fd = connectEndpoint(parseEndpoint(socket), timeout_ms);
     TraceRequest req;
     req.nonce = 1;
     req.drain = drain;
-    writeFrame(fd.get(), encodeTraceRequest(req), timeout_ms);
-    const Frame reply = readFrame(fd.get(), timeout_ms);
-    if (reply.type == MsgType::Error)
-        throw ProtocolError("server error: " +
-                            parseError(reply.payload).message);
-    if (reply.type != MsgType::TraceResponse)
-        throw ProtocolError("unexpected reply type");
-    return parseTraceResponse(reply.payload);
+    return parseTraceResponse(requestOnce(socket, encodeTraceRequest(req),
+                                          MsgType::TraceResponse,
+                                          timeout_ms)
+                                  .payload);
 }
 
 /** Minimal scanner for the flat JSONL objects SpanBuffer writes. */
@@ -271,7 +250,7 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--socket" && has_value) {
-            sockets = splitSockets(argv[++i]);
+            sockets = ppm::serve::splitEndpointSpecs(argv[++i]);
         } else if (arg == "--in" && has_value) {
             inputs.push_back(argv[++i]);
         } else if (arg == "--out" && has_value) {

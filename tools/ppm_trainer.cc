@@ -47,7 +47,6 @@
 #include "serve/protocol.hh"
 #include "serve/result_archive.hh"
 #include "serve/socket_io.hh"
-#include "serve/transport.hh"
 #include "train/online_trainer.hh"
 
 namespace {
@@ -105,15 +104,10 @@ pollDriftEvents(const std::string &endpoint)
 {
     using namespace ppm;
     try {
-        serve::FdGuard fd = serve::connectEndpoint(
-            serve::parseEndpoint(endpoint), 2000);
-        serve::writeFrame(fd.get(), serve::encodeStatsRequest(1),
-                          5000);
-        const serve::Frame reply = serve::readFrame(fd.get(), 5000);
-        if (reply.type != serve::MsgType::StatsResponse)
-            return -1;
-        const obs::Snapshot snap =
-            serve::parseStatsResponse(reply.payload);
+        const obs::Snapshot snap = serve::parseStatsResponse(
+            serve::requestOnce(endpoint, serve::encodeStatsRequest(1),
+                               serve::MsgType::StatsResponse, 5000)
+                .payload);
         long long events = 0;
         for (const auto &counter : snap.counters) {
             if (counter.name == "model.drift.events")
@@ -131,15 +125,12 @@ pushSnapshot(const ppm::serve::ModelSnapshot &snap,
              const std::string &endpoint)
 {
     using namespace ppm;
-    const auto image = serve::encodeSnapshot(snap);
-    serve::FdGuard fd =
-        serve::connectEndpoint(serve::parseEndpoint(endpoint), 5000);
-    serve::writeFrame(fd.get(), serve::encodeModelPush(image), 30000);
-    const serve::Frame reply = serve::readFrame(fd.get(), 30000);
-    if (reply.type != serve::MsgType::ModelPushAck)
-        throw std::runtime_error("unexpected push reply type");
-    const serve::ModelPushAck ack =
-        serve::parseModelPushAck(reply.payload);
+    const serve::ModelPushAck ack = serve::parseModelPushAck(
+        serve::requestOnce(endpoint,
+                           serve::encodeModelPush(
+                               serve::encodeSnapshot(snap)),
+                           serve::MsgType::ModelPushAck, 30000)
+            .payload);
     if (!ack.accepted)
         std::fprintf(stderr, "ppm_trainer: push rejected at v%llu%s%s\n",
                      static_cast<unsigned long long>(
