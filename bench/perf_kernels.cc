@@ -45,13 +45,17 @@ using namespace ppm;
 
 namespace {
 
-const trace::Trace &
-sharedTrace()
-{
-    static const trace::Trace trace =
-        trace::generateTrace(trace::profileByName("twolf"), 50000);
-    return trace;
-}
+/**
+ * Simulator ledger context: ppm's own build type (the context's
+ * library_build_type is google-benchmark's), the compiler and nproc.
+ */
+const bool kHostContext = [] {
+    benchmark::AddCustomContext("ppm_build_type", PPM_BUILD_TYPE);
+    benchmark::AddCustomContext("ppm_compiler", PPM_COMPILER);
+    benchmark::AddCustomContext(
+        "nproc", std::to_string(sysconf(_SC_NPROCESSORS_ONLN)));
+    return true;
+}();
 
 void
 BM_TraceGeneration(benchmark::State &state)
@@ -68,22 +72,46 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration)->Arg(10000)->Arg(50000);
 
+/**
+ * The simulator ledger: one row per Table 3 program, each iteration
+ * simulating the program's 100K-instruction trace (15K warmup, the
+ * Table 3 scale) at the same 16 random Table 1 points.
+ * items_per_second is simulated instructions per second.
+ */
 void
 BM_CycleSimulation(benchmark::State &state)
 {
-    const auto &t = sharedTrace();
-    sim::ProcessorConfig cfg;
+    constexpr std::size_t kTraceLength = 100000;
+    static const std::vector<sim::ProcessorConfig> configs = [] {
+        const auto space = dspace::paperTrainSpace();
+        math::Rng rng(2006);
+        std::vector<sim::ProcessorConfig> out;
+        for (int i = 0; i < 16; ++i) {
+            out.push_back(sim::ProcessorConfig::fromDesignPoint(
+                space, space.randomPoint(rng)));
+        }
+        return out;
+    }();
+    const std::string name =
+        trace::profileNames()[static_cast<std::size_t>(state.range(0))];
+    const auto t =
+        trace::generateTrace(trace::profileByName(name), kTraceLength);
     sim::SimOptions opts;
-    opts.warmup_instructions = 0;
+    opts.warmup_instructions = 15000;
     for (auto _ : state) {
-        auto stats = sim::simulate(t, cfg, opts);
-        benchmark::DoNotOptimize(stats.cycles);
+        for (const auto &cfg : configs) {
+            auto stats = sim::simulate(t, cfg, opts);
+            benchmark::DoNotOptimize(stats.cycles);
+        }
     }
+    state.SetLabel(name);
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(t.size()));
+        static_cast<std::int64_t>(configs.size() * t.size()));
 }
-BENCHMARK(BM_CycleSimulation);
+BENCHMARK(BM_CycleSimulation)
+    ->ArgNames({"program"})->DenseRange(0, 7)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_LhsBestOf(benchmark::State &state)

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
+#include <functional>
 
 namespace ppm::sim {
 
@@ -26,15 +26,16 @@ constexpr int kForwardShift = 3;
 } // namespace
 
 OooCore::OooCore(const ProcessorConfig &config, const trace::Trace &trace)
-    : config_(config), trace_(trace), memory_(config),
-      predictor_(config), fus_(config)
+    : config_(config), trace_(trace), memory_(config_),
+      predictor_(config_), fus_(config_)
 {
     config_.validate();
     rob_size_ = config_.rob_size;
     rob_.assign(static_cast<std::size_t>(rob_size_), RobEntry{});
     fetch_queue_capacity_ = static_cast<std::size_t>(
         (config_.frontEndDepth() + 1) * config_.fetch_width);
-    waiting_.reserve(static_cast<std::size_t>(config_.iq_size));
+    wake_heap_.reserve(static_cast<std::size_t>(config_.iq_size));
+    ready_.reserve(static_cast<std::size_t>(config_.iq_size));
     for (std::size_t r = 0; r < trace::kNumArchRegs; ++r) {
         reg_writer_[r] = kNoProducer;
         reg_writer_seq_[r] = 0;
@@ -151,7 +152,7 @@ OooCore::doDispatch()
         entry.seq = f.seq;
         entry.op = inst.op;
         entry.mem_addr = inst.mem_addr;
-        entry.earliest_issue = now_ + 1;
+        entry.wake = now_ + 1;
         entry.is_mispredicted_branch = f.mispredicted;
 
         for (int k = 0; k < 2; ++k) {
@@ -161,14 +162,23 @@ OooCore::doDispatch()
             const int w = reg_writer_[reg];
             if (w == kNoProducer)
                 continue;
-            const RobEntry &producer =
-                rob_[static_cast<std::size_t>(w)];
+            RobEntry &producer = rob_[static_cast<std::size_t>(w)];
             if (producer.seq == reg_writer_seq_[reg] &&
                 producer.seq != entry.seq) {
                 entry.producer[k] = w;
                 entry.producer_seq[k] = producer.seq;
+                if (producer.issued) {
+                    // Issued or committed: the completion is known.
+                    entry.wake = std::max(entry.wake, producer.completion);
+                } else {
+                    entry.next_dependent[k] = producer.first_dependent;
+                    producer.first_dependent = slot * 2 + k;
+                    ++entry.pending;
+                }
             }
         }
+        if (entry.pending == 0)
+            scheduleWake(slot);
         if (inst.dest != kNoReg) {
             reg_writer_[inst.dest] = slot;
             reg_writer_seq_[inst.dest] = f.seq;
@@ -177,7 +187,6 @@ OooCore::doDispatch()
         rob_tail_ = robNext(rob_tail_);
         ++rob_count_;
         ++iq_count_;
-        waiting_.push_back(slot);
         if (inst.isMem()) {
             lsq_.push_back(slot);
             ++lsq_count_;
@@ -213,14 +222,20 @@ OooCore::loadCompletion(int slot)
     return memory_.load(load.mem_addr, now_);
 }
 
+void
+OooCore::scheduleWake(int slot)
+{
+    wake_heap_.push_back({rob_[static_cast<std::size_t>(slot)].wake, slot});
+    std::push_heap(wake_heap_.begin(), wake_heap_.end(),
+                   std::greater<>{});
+}
+
 bool
 OooCore::tryIssueEntry(int slot)
 {
     RobEntry &entry = rob_[static_cast<std::size_t>(slot)];
-    if (entry.earliest_issue > now_)
-        return false;
-    if (!operandReady(entry, 0) || !operandReady(entry, 1))
-        return false;
+    assert(entry.pending == 0 && entry.wake <= now_);
+    assert(operandReady(entry, 0) && operandReady(entry, 1));
 
     // Loads blocked behind an unexecuted same-address store must not
     // claim a cache port.
@@ -237,10 +252,8 @@ OooCore::tryIssueEntry(int slot)
         }
     }
 
-    if (!fus_.tryIssue(entry.op, now_)) {
-        fu_retry_ = std::min(fu_retry_, fus_.nextFree(entry.op, now_));
+    if (!fus_.tryIssue(entry.op, now_))
         return false;
-    }
 
     entry.issued = true;
     switch (entry.op) {
@@ -266,26 +279,52 @@ OooCore::tryIssueEntry(int slot)
         // The next fetch group starts at a new line.
         last_fetch_line_ = ~0ULL;
     }
+
+    // Wake the dependents: the completion time is now known.
+    for (int link = entry.first_dependent; link != kNoLink;) {
+        const int consumer_slot = link / 2;
+        RobEntry &consumer = rob_[static_cast<std::size_t>(consumer_slot)];
+        link = consumer.next_dependent[link % 2];
+        consumer.wake = std::max(consumer.wake, entry.completion);
+        if (--consumer.pending == 0)
+            scheduleWake(consumer_slot);
+    }
     return true;
 }
 
 void
 OooCore::doIssue()
 {
-    fu_retry_ = kNever;
+    // Entries whose wake time has come join the ready set in age order.
+    const auto older = [this](std::uint64_t seq, int slot) {
+        return seq < rob_[static_cast<std::size_t>(slot)].seq;
+    };
+    while (!wake_heap_.empty() && wake_heap_.front().wake <= now_) {
+        const int slot = wake_heap_.front().slot;
+        std::pop_heap(wake_heap_.begin(), wake_heap_.end(),
+                      std::greater<>{});
+        wake_heap_.pop_back();
+        const std::uint64_t seq = rob_[static_cast<std::size_t>(slot)].seq;
+        ready_.insert(
+            std::upper_bound(ready_.begin(), ready_.end(), seq, older),
+            slot);
+    }
+
     int issued = 0;
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < waiting_.size(); ++i) {
-        const int slot = waiting_[i];
-        if (issued < config_.issue_width && tryIssueEntry(slot)) {
+    std::size_t i = 0;
+    for (; i < ready_.size() && issued < config_.issue_width; ++i) {
+        const int slot = ready_[i];
+        if (tryIssueEntry(slot)) {
             ++issued;
             --iq_count_;
             progress_ = true;
             continue;
         }
-        waiting_[kept++] = slot;
+        ready_[kept++] = slot;
     }
-    waiting_.resize(kept);
+    ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 ready_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void
@@ -330,76 +369,19 @@ OooCore::nextEventTime() const
         if (head.issued)
             t = std::min(t, head.completion);
     }
-    // Wakeups of waiting instructions.
-    for (int slot : waiting_) {
-        const RobEntry &entry = rob_[static_cast<std::size_t>(slot)];
-        Tick ready = entry.earliest_issue;
-        bool known = true;
-        for (int k = 0; k < 2 && known; ++k) {
-            const int w = entry.producer[k];
-            if (w == kNoProducer)
-                continue;
-            const RobEntry &producer =
-                rob_[static_cast<std::size_t>(w)];
-            if (producer.seq != entry.producer_seq[k])
-                continue;
-            if (!producer.issued)
-                known = false; // depends on a not-yet-issued op
-            else
-                ready = std::max(ready, producer.completion);
-        }
-        if (known)
-            t = std::min(t, ready);
-    }
-    // Functional unit becoming free for a blocked instruction.
-    t = std::min(t, fu_retry_);
+    // Wakeups of waiting instructions: a ready entry that could not
+    // issue retries next cycle, otherwise the earliest wake time.
+    if (!ready_.empty())
+        t = std::min(t, now_);
+    else if (!wake_heap_.empty())
+        t = std::min(t, wake_heap_.front().wake);
     return t;
 }
 
 SimStats
 OooCore::run(std::uint64_t warmup_instructions)
 {
-    const std::uint64_t total = trace_.size();
-    warmup_instructions = std::min(warmup_instructions, total / 2);
-    bool warm = warmup_instructions == 0;
-
-    // Generous bound: no modeled configuration sustains CPI > ~200.
-    const Tick limit = 500 * static_cast<Tick>(total) + 1000000;
-
-    while (committed_ < total) {
-        progress_ = false;
-        doCommit();
-        doIssue();
-        doDispatch();
-        doFetch();
-
-        if (!warm && committed_ >= warmup_instructions) {
-            warm = true;
-            stat_cycle_base_ = now_;
-            stat_inst_base_ = committed_;
-        }
-        if (committed_ >= total)
-            break;
-
-        if (progress_) {
-            ++now_;
-        } else {
-            const Tick next = nextEventTime();
-            now_ = std::max(now_ + 1, next == kNever ? now_ + 1 : next);
-        }
-        if (now_ > limit)
-            throw std::runtime_error(
-                "OooCore: simulation exceeded cycle bound (deadlock?)");
-    }
-
-    stats_.cycles = now_ - stat_cycle_base_;
-    stats_.instructions = committed_ - stat_inst_base_;
-    stats_.il1 = memory_.il1().stats();
-    stats_.dl1 = memory_.dl1().stats();
-    stats_.l2 = memory_.l2().stats();
-    stats_.branch = predictor_.stats();
-    stats_.memory = memory_.controller().stats();
-    return stats_;
+    return runLoop(warmup_instructions, [] {});
 }
 
 } // namespace ppm::sim

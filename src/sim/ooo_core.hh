@@ -24,17 +24,41 @@
  *  - Commit retires up to commit_width completed instructions in
  *    order; stores write the cache at commit.
  *
- * Idle stretches (e.g. the whole window waiting on a DRAM access) are
- * skipped by advancing directly to the next event time, which keeps
- * long-latency configurations fast to simulate.
+ * Issue is event-driven; no waiting instruction is polled:
+ *
+ *  - Each ROB entry has a wake time, initially dispatch + 1. A
+ *    consumer dispatched before its producer issues links itself
+ *    into the producer's dependents list and counts the producer as
+ *    pending; a producer that has already issued (or committed)
+ *    raises the wake time to its completion directly. The list is
+ *    intrusive: each consumer has at most two links, one per operand.
+ *  - A producer's completion time is known when it issues. Issuing
+ *    raises each dependent's wake time to it; a dependent with no
+ *    pending producer left enters a min-heap keyed by wake time.
+ *  - Each issue step first moves every heap entry whose wake time has
+ *    come into the ready set, which is kept in program (ROB-age)
+ *    order, then walks only that set, oldest first. Functional-unit
+ *    contention, cache ports and the memory calls therefore see the
+ *    same order as a scan of the whole queue would. A load blocked
+ *    behind an unexecuted older store to the same word stays in the
+ *    ready set, so it issues in the store's cycle.
+ *
+ * Cycles in which no state can change are skipped: the next visited
+ * cycle is the earliest fetch, dispatch, commit or wake event (the
+ * heap top, or the next cycle while the ready set is non-empty).
+ * Cycles in which dispatch is blocked by a full ROB, IQ or LSQ are not
+ * skipped: they are visited one at a time, because the stall counters
+ * are charged once per visited cycle.
  */
 
 #ifndef PPM_SIM_OOO_CORE_HH
 #define PPM_SIM_OOO_CORE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/branch_predictor.hh"
@@ -69,20 +93,45 @@ class OooCore
     SimStats run(std::uint64_t warmup_instructions = 0);
 
   private:
+    /** Test seam: reads the private state between visited cycles. */
+    friend class OooCoreTestPeer;
+
     static constexpr Tick kNever = std::numeric_limits<Tick>::max();
     static constexpr int kNoProducer = -1;
+    /** End of a dependents list. Links are `consumer slot * 2 + operand`. */
+    static constexpr int kNoLink = -1;
 
     struct RobEntry
     {
         std::uint64_t seq = 0;       //!< trace index (generation tag)
         trace::OpClass op = trace::OpClass::IntAlu;
         std::uint64_t mem_addr = 0;
+        /** Producers at dispatch; only checks (operandReady()) read them. */
         int producer[2] = {kNoProducer, kNoProducer};
         std::uint64_t producer_seq[2] = {0, 0};
-        Tick earliest_issue = 0;
+        /** Earliest issue cycle once no producer is pending. */
+        Tick wake = 0;
+        /** Producers that had not issued at dispatch and still have not. */
+        int pending = 0;
+        /** This entry's dependents list, newest link first. */
+        int first_dependent = kNoLink;
+        /** The link after each of this entry's own operand links. */
+        int next_dependent[2] = {kNoLink, kNoLink};
         Tick completion = kNever;
         bool issued = false;
         bool is_mispredicted_branch = false;
+    };
+
+    /** A waiting entry with no pending producer, keyed by wake time. */
+    struct Wakeup
+    {
+        Tick wake;
+        int slot;
+
+        bool operator>(const Wakeup &other) const
+        {
+            return wake > other.wake;
+        }
     };
 
     struct FetchedInst
@@ -99,10 +148,16 @@ class OooCore
     void doIssue();
     void doCommit();
 
-    /** True when the producer's result is available at time `now_`. */
+    /**
+     * True when the producer's result is available at time `now_`.
+     * The wake lists make this hold at issue; only asserts call it.
+     */
     bool operandReady(const RobEntry &entry, int which) const;
 
-    /** Attempt to issue one entry; returns false if it must wait. */
+    /** Put a waiting entry with no pending producer into the heap. */
+    void scheduleWake(int slot);
+
+    /** Attempt to issue one ready entry; returns false if it must wait. */
     bool tryIssueEntry(int slot);
 
     /** Compute a load's completion time (forwarding or memory). */
@@ -113,7 +168,14 @@ class OooCore
 
     int robNext(int slot) const { return slot + 1 == rob_size_ ? 0 : slot + 1; }
 
-    const ProcessorConfig &config_;
+    /**
+     * The body of run(). @p on_cycle is called at the end of every
+     * visited cycle, before time advances; run() passes a no-op.
+     */
+    template <typename OnCycle>
+    SimStats runLoop(std::uint64_t warmup_instructions, OnCycle &&on_cycle);
+
+    const ProcessorConfig config_;
     const trace::Trace &trace_;
 
     MemoryHierarchy memory_;
@@ -137,8 +199,12 @@ class OooCore
     int rob_count_ = 0;
     int iq_count_ = 0;
     int lsq_count_ = 0;
-    std::vector<int> waiting_;   //!< dispatched, not yet issued (IQ)
     std::deque<int> lsq_;        //!< memory ops in program order
+
+    // Each waiting (IQ) entry is in exactly one place: pending on a
+    // producer's dependents list, in wake_heap_, or in ready_.
+    std::vector<Wakeup> wake_heap_; //!< min-heap on wake time
+    std::vector<int> ready_;        //!< wake time reached, oldest first
 
     /** Rename table: ROB slot of each register's last writer. */
     int reg_writer_[trace::kNumArchRegs];
@@ -148,13 +214,59 @@ class OooCore
     std::uint64_t committed_ = 0;
     /** Any pipeline activity this cycle (controls event skipping). */
     bool progress_ = false;
-    /** Earliest retry time for an FU-blocked instruction this cycle. */
-    Tick fu_retry_ = kNever;
 
     SimStats stats_;
     std::uint64_t stat_cycle_base_ = 0;
     std::uint64_t stat_inst_base_ = 0;
 };
+
+template <typename OnCycle>
+SimStats
+OooCore::runLoop(std::uint64_t warmup_instructions, OnCycle &&on_cycle)
+{
+    const std::uint64_t total = trace_.size();
+    warmup_instructions = std::min(warmup_instructions, total / 2);
+    bool warm = warmup_instructions == 0;
+
+    // Generous bound: no modeled configuration sustains CPI > ~200.
+    const Tick limit = 500 * static_cast<Tick>(total) + 1000000;
+
+    while (committed_ < total) {
+        progress_ = false;
+        doCommit();
+        doIssue();
+        doDispatch();
+        doFetch();
+
+        if (!warm && committed_ >= warmup_instructions) {
+            warm = true;
+            stat_cycle_base_ = now_;
+            stat_inst_base_ = committed_;
+        }
+        on_cycle();
+        if (committed_ >= total)
+            break;
+
+        if (progress_) {
+            ++now_;
+        } else {
+            const Tick next = nextEventTime();
+            now_ = std::max(now_ + 1, next == kNever ? now_ + 1 : next);
+        }
+        if (now_ > limit)
+            throw std::runtime_error(
+                "OooCore: simulation exceeded cycle bound (deadlock?)");
+    }
+
+    stats_.cycles = now_ - stat_cycle_base_;
+    stats_.instructions = committed_ - stat_inst_base_;
+    stats_.il1 = memory_.il1().stats();
+    stats_.dl1 = memory_.dl1().stats();
+    stats_.l2 = memory_.l2().stats();
+    stats_.branch = predictor_.stats();
+    stats_.memory = memory_.controller().stats();
+    return stats_;
+}
 
 } // namespace ppm::sim
 

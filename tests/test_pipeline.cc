@@ -11,6 +11,7 @@
 #include "dspace/paper_space.hh"
 #include "sim/ooo_core.hh"
 #include "sim/simulator.hh"
+#include "trace_builder.hh"
 
 namespace {
 
@@ -19,67 +20,7 @@ using namespace ppm::sim;
 using trace::OpClass;
 using trace::TraceInstruction;
 using trace::kNoReg;
-
-/** Builds consistent straight-line or branching traces. */
-class TraceBuilder
-{
-  public:
-    TraceBuilder() : trace_("handmade") {}
-
-    /** Append a non-branch op at the next sequential PC. */
-    TraceBuilder &
-    op(OpClass cls, trace::RegId dest = kNoReg,
-       trace::RegId src0 = kNoReg, trace::RegId src1 = kNoReg,
-       std::uint64_t addr = 0)
-    {
-        TraceInstruction i;
-        i.pc = pc_;
-        i.op = cls;
-        i.dest = dest;
-        i.src[0] = src0;
-        i.src[1] = src1;
-        i.mem_addr = addr;
-        trace_.push(i);
-        pc_ += 4;
-        return *this;
-    }
-
-    /** Append a conditional branch; the next PC follows the outcome. */
-    TraceBuilder &
-    branch(bool taken, std::uint64_t target)
-    {
-        TraceInstruction i;
-        i.pc = pc_;
-        i.op = OpClass::BranchCond;
-        i.branch_target = target;
-        i.taken = taken;
-        trace_.push(i);
-        pc_ = taken ? target : pc_ + 4;
-        return *this;
-    }
-
-    /** Append an unconditional jump (used to close loops). */
-    TraceBuilder &
-    jump(std::uint64_t target)
-    {
-        TraceInstruction i;
-        i.pc = pc_;
-        i.op = OpClass::BranchUncond;
-        i.branch_target = target;
-        i.taken = true;
-        trace_.push(i);
-        pc_ = target;
-        return *this;
-    }
-
-    std::uint64_t pc() const { return pc_; }
-
-    trace::Trace take() { return std::move(trace_); }
-
-  private:
-    trace::Trace trace_;
-    std::uint64_t pc_ = 0x400000;
-};
+using test::TraceBuilder;
 
 /**
  * Emit `reps` iterations of a loop whose body is produced by
