@@ -39,6 +39,7 @@ AdaptiveSampler::build(const AdaptiveOptions &options)
         throw std::invalid_argument(
             "AdaptiveOptions: candidate_pool < batch_size");
 
+    obs::TraceRoot trace_root("adaptive.build");
     const std::uint64_t evals_before = oracle_.evaluations();
     math::Rng rng(options.seed);
 

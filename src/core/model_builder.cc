@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "linreg/model_selection.hh"
+#include "obs/trace_context.hh"
 #include "sampling/discrepancy.hh"
 #include "sampling/sample_gen.hh"
 
@@ -29,6 +30,9 @@ ModelBuilder::build(const BuildOptions &options)
         throw std::invalid_argument(
             "BuildOptions: need at least one test point");
 
+    // One trace per build: every simulation, lookup and grid cell
+    // below (on any pool thread) joins it when sampled.
+    obs::TraceRoot trace_root("core.build");
     const std::uint64_t evals_before = oracle_.evaluations();
     math::Rng rng(options.seed);
 

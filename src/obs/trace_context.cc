@@ -80,9 +80,10 @@ void
 traceConfigureFromEnv()
 {
     const char *every = std::getenv("PPM_TRACE_SAMPLE");
-    if (every != nullptr)
-        setTraceSampleEvery(static_cast<std::uint32_t>(
-            std::strtoul(every, nullptr, 10)));
+    setTraceSampleEvery(every == nullptr
+                            ? 0
+                            : static_cast<std::uint32_t>(
+                                  std::strtoul(every, nullptr, 10)));
     const char *spans_out = std::getenv("PPM_SPANS_OUT");
     if (spans_out != nullptr && spans_out[0] != '\0')
         registerSpansOutAtExit();
@@ -259,6 +260,8 @@ SpanBuffer::writeJsonl(const std::string &path)
             static_cast<unsigned long long>(s.start_unix_ns),
             static_cast<unsigned long long>(s.dur_ns), pid, s.tid);
     }
+    std::fprintf(out, "{\"pid\":%lu,\"dropped_spans\":%llu}\n", pid,
+                 static_cast<unsigned long long>(droppedCount()));
     std::fclose(out);
     return true;
 }

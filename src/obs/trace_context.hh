@@ -5,17 +5,27 @@
  * so one sampled request can be followed client -> ShardedClient ->
  * SimServer -> cache -> RBF batch kernel across processes.
  *
+ * Roots open where work starts: the client oracles' evaluateAll
+ * (`remote.evaluate_all`, `predict.evaluate_all`) and the offline
+ * entry points (`core.build`, `adaptive.build`, `train.root`,
+ * `publish.build`). A root opened under another root is a child span,
+ * so a whole model build — every simulation, cache lookup and grid
+ * cell on every pool thread — is one trace.
+ *
  * Sampling is deterministic and RNG-free (zero-perturbation): a
- * process-local relaxed counter samples every Nth trace root
- * (PPM_TRACE_SAMPLE=N; 0 disables tracing entirely). The sampled bit
- * travels with the context, so downstream processes never re-decide.
+ * process-local relaxed counter samples every Nth outermost root
+ * (PPM_TRACE_SAMPLE=N; unset, empty or 0 disables tracing entirely).
+ * The sampled bit travels with the context, so pool threads and
+ * downstream processes never re-decide. Spans outside every root feed
+ * only their `span.*` histograms.
  *
  * Sampled spans land in the process-wide SpanBuffer stamped with
  * pid/tid and wall-clock (epoch) timestamps — monotonicNs() is
  * per-process and useless across machines, so each process captures
  * one realtime-minus-steady offset at startup and converts on record.
  * `ppm_trace` pulls buffers over TraceRequest frames (or reads
- * PPM_SPANS_OUT JSONL dumps) and merges them into one Chrome trace.
+ * PPM_SPANS_OUT JSONL dumps) and merges them into one Chrome trace;
+ * it is the only Chrome-trace writer.
  *
  * Cost contract: with tracing off (sample_every == 0) every span site
  * pays exactly one extra relaxed atomic load. No locks, no RNG, no
@@ -77,7 +87,7 @@ std::uint32_t traceSampleEvery();
 /** Set the sample period: sample every Nth root, 0 disables. */
 void setTraceSampleEvery(std::uint32_t every);
 
-/** Re-read PPM_TRACE_SAMPLE and PPM_SPANS_OUT. */
+/** Re-read PPM_TRACE_SAMPLE (unset or empty = 0) and PPM_SPANS_OUT. */
 void traceConfigureFromEnv();
 
 /** The calling thread's live context (mutable: spans re-parent it). */
@@ -114,11 +124,11 @@ class ScopedTraceContext
 };
 
 /**
- * A trace root: where a request is born (client evaluateAll entry).
- * If tracing is enabled and no context is active, makes the
+ * A trace root: where a request or an offline build starts. If
+ * tracing is enabled and no context is active, makes the
  * deterministic 1-in-N sampling decision and opens a new trace; when
  * the decision (or an inherited context) is "sampled", the root also
- * records itself as a span.
+ * records itself as a span (a child span under an inherited context).
  */
 class TraceRoot
 {
@@ -166,9 +176,10 @@ class SpanBuffer
     }
 
     /**
-     * Append the buffer as JSONL (one span object per line) — the
-     * client-side export `ppm_trace --in FILE` merges. Registered
-     * atexit when PPM_SPANS_OUT is set.
+     * Write the buffer as JSONL (one span object per line, then one
+     * `{"pid":…,"dropped_spans":N}` trailer) — the client-side export
+     * `ppm_trace --in FILE` merges. Registered atexit when
+     * PPM_SPANS_OUT is set.
      */
     bool writeJsonl(const std::string &path);
 

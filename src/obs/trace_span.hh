@@ -1,17 +1,17 @@
 /**
  * @file
  * Scoped trace spans: `OBS_SPAN("rbf.grid_search")` times the
- * enclosing scope with steady_clock, feeds the duration into the
- * registry histogram `span.rbf.grid_search`, and — when the
- * PPM_TRACE_OUT environment variable names an output file — records a
- * Chrome-trace-format event (load the file at chrome://tracing or
+ * enclosing scope with steady_clock and feeds the duration into the
+ * registry histogram `span.rbf.grid_search`. Under a sampled
+ * `TraceRoot` (PPM_TRACE_SAMPLE; see trace_context.hh) the span also
+ * lands in the process SpanBuffer, which `ppm_trace` turns into a
+ * Chrome trace (load it at chrome://tracing or
  * https://ui.perfetto.dev).
  *
  * Cost: two steady_clock reads plus one sharded histogram observe per
- * span; the Chrome recorder is skipped behind a relaxed atomic flag
- * unless PPM_TRACE_OUT is set. Spans never touch an RNG stream and
- * never feed back into computation (zero-perturbation; see
- * DESIGN.md "Observability").
+ * span, and one relaxed atomic load while tracing is off. Spans never
+ * touch an RNG stream and never feed back into computation
+ * (zero-perturbation; see DESIGN.md "Observability").
  *
  * Building with -DPPM_OBS_DISABLE=ON (which defines PPM_OBS_DISABLED)
  * compiles every OBS_SPAN site out entirely — the micro-bench
@@ -21,77 +21,14 @@
 #ifndef PPM_OBS_TRACE_SPAN_HH
 #define PPM_OBS_TRACE_SPAN_HH
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/event_log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_context.hh"
 
 namespace ppm::obs {
-
-/**
- * Buffered Chrome-trace recorder. Events accumulate in memory (up to
- * kMaxEvents; later ones are counted as dropped) and flush() rewrites
- * the whole output file, so the file is a complete valid JSON
- * document after every flush. The global instance registers an
- * atexit flush when first enabled.
- */
-class ChromeTrace
-{
-  public:
-    ChromeTrace() = default;
-
-    ChromeTrace(const ChromeTrace &) = delete;
-    ChromeTrace &operator=(const ChromeTrace &) = delete;
-
-    /** The process-wide recorder (env-configured on first use). */
-    static ChromeTrace &instance();
-
-    /** Route output to @p path; "" flushes pending events, disables. */
-    void configure(const std::string &path);
-
-    /** Re-read PPM_TRACE_OUT. */
-    void configureFromEnv();
-
-    bool enabled() const { return on_.load(std::memory_order_relaxed); }
-
-    /**
-     * Record one complete span. @p name must have static storage
-     * duration (span sites are static literals).
-     */
-    void record(const char *name, std::uint64_t start_ns,
-                std::uint64_t dur_ns);
-
-    /** Write every buffered event to the configured path. */
-    void flush();
-
-    /** Events discarded because the buffer was full. */
-    std::uint64_t dropped() const
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    struct Event
-    {
-        const char *name;
-        std::uint64_t start_ns;
-        std::uint64_t dur_ns;
-        unsigned tid;
-    };
-
-    static constexpr std::size_t kMaxEvents = 1u << 18;
-
-    std::atomic<bool> on_{false};
-    std::atomic<std::uint64_t> dropped_{0};
-    std::mutex mutex_;
-    std::string path_;
-    std::vector<Event> events_;
-};
 
 /**
  * One static span call site: owns the span name and the registry
@@ -146,9 +83,6 @@ class ScopedSpan
     {
         const std::uint64_t dur = monotonicNs() - start_ns_;
         site_.histogram().observe(dur);
-        ChromeTrace &trace = ChromeTrace::instance();
-        if (trace.enabled())
-            trace.record(site_.name(), start_ns_, dur);
         if (traced_) {
             TraceContext &ctx = threadTraceContext();
             ctx.parent_span_id = parent_span_id_;
@@ -176,14 +110,6 @@ class ScopedSpan
     bool traced_ = false;
 };
 
-/**
- * Re-read PPM_LOG, PPM_LOG_LEVEL and PPM_TRACE_OUT for the global
- * event log and Chrome recorder. Intended for tests and tools that
- * toggle observability inside one process; production code simply
- * sets the environment before launch.
- */
-void reconfigureFromEnv();
-
 } // namespace ppm::obs
 
 #define PPM_OBS_CONCAT2(a, b) a##b
@@ -192,7 +118,7 @@ void reconfigureFromEnv();
 #ifndef PPM_OBS_DISABLED
 /**
  * Time the enclosing scope into the `span.<name>` histogram (and the
- * Chrome trace when enabled). @p name must be a string literal.
+ * SpanBuffer when sampled). @p name must be a string literal.
  */
 #define OBS_SPAN(name)                                                 \
     static ppm::obs::SpanSite PPM_OBS_CONCAT(ppm_obs_site_,            \

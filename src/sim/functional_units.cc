@@ -1,7 +1,5 @@
 #include "sim/functional_units.hh"
 
-#include <algorithm>
-
 namespace ppm::sim {
 
 using trace::OpClass;
@@ -67,22 +65,6 @@ FunctionalUnits::poolFor(OpClass op)
     }
 }
 
-const std::vector<Tick> &
-FunctionalUnits::poolFor(OpClass op) const
-{
-    return const_cast<FunctionalUnits *>(this)->poolFor(op);
-}
-
-Tick
-FunctionalUnits::nextFree(OpClass op, Tick cycle) const
-{
-    const auto &pool = poolFor(op);
-    Tick best = pool.front();
-    for (Tick t : pool)
-        best = std::min(best, t);
-    return std::max(best, cycle);
-}
-
 bool
 FunctionalUnits::tryIssue(OpClass op, Tick cycle)
 {
@@ -95,14 +77,6 @@ FunctionalUnits::tryIssue(OpClass op, Tick cycle)
         }
     }
     return false;
-}
-
-void
-FunctionalUnits::reset()
-{
-    for (auto *pool : {&int_alu_, &int_mul_, &fp_, &mem_})
-        for (auto &t : *pool)
-            t = 0;
 }
 
 } // namespace ppm::sim

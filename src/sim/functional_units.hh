@@ -41,14 +41,8 @@ class FunctionalUnits
      */
     bool tryIssue(trace::OpClass op, Tick cycle);
 
-    /** Earliest cycle >= @p cycle at which a unit for @p op frees. */
-    Tick nextFree(trace::OpClass op, Tick cycle) const;
-
-    void reset();
-
   private:
     std::vector<Tick> &poolFor(trace::OpClass op);
-    const std::vector<Tick> &poolFor(trace::OpClass op) const;
 
     std::vector<Tick> int_alu_;  //!< also executes branches
     std::vector<Tick> int_mul_;  //!< multiply + divide

@@ -154,6 +154,7 @@ OnlineTrainer::acceptRecord(const Key &key, double value,
 std::size_t
 OnlineTrainer::step()
 {
+    obs::TraceRoot trace_root("train.root");
     OBS_SPAN("train.step");
     std::vector<const Key *> fresh;
     for (const auto &tailer : tailers_) {

@@ -59,7 +59,9 @@
  * Metrics: train.folds / train.refits / train.publishes /
  * train.tail.records / train.tail.retries counters; spans
  * train.step, train.fold_epoch (one epoch's folds; each single fold
- * is train.fold), train.refit, train.publish, train.tail.
+ * is train.fold), train.refit, train.publish, train.tail. Each step()
+ * opens the trace root train.root, so with PPM_TRACE_SAMPLE=N every
+ * Nth step is exported whole through the SpanBuffer.
  */
 
 #ifndef PPM_TRAIN_ONLINE_TRAINER_HH

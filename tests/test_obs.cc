@@ -2,19 +2,16 @@
  * @file
  * Observability-layer suite: metric primitives are exact under
  * concurrency, snapshots taken mid-increment are sane, the JSONL
- * event log and Chrome trace emit well-formed JSON, and — the layer's
- * hard invariant — enabling logging and tracing perturbs no pipeline
- * result bit.
+ * event log emits well-formed JSON, and — the layer's hard invariant
+ * — enabling logging and tracing perturbs no pipeline result bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -29,208 +26,16 @@
 #include "math/rng.hh"
 #include "obs/event_log.hh"
 #include "obs/metrics.hh"
+#include "obs/trace_context.hh"
 #include "obs/trace_span.hh"
+
+#include "json_checker.hh"
 
 namespace {
 
 using namespace ppm;
 using namespace ppm::obs;
-
-// --- a minimal JSON validator ----------------------------------------
-// Accepts exactly the JSON grammar; no extensions. Used to prove every
-// emitted log line / trace file / stats rendering is machine-parsable.
-
-class JsonChecker
-{
-  public:
-    explicit JsonChecker(const std::string &text) : s_(text) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size())
-            return false;
-        switch (s_[pos_]) {
-          case '{':
-            return object();
-          case '[':
-            return array();
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"')
-            return false;
-        ++pos_;
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (static_cast<unsigned char>(c) < 0x20)
-                return false; // raw control character
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size())
-                    return false;
-                const char e = s_[pos_];
-                if (e == 'u') {
-                    for (int i = 1; i <= 4; ++i)
-                        if (pos_ + i >= s_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                s_[pos_ + i])))
-                            return false;
-                    pos_ += 4;
-                } else if (std::string("\"\\/bfnrt").find(e) ==
-                           std::string::npos) {
-                    return false;
-                }
-            }
-            ++pos_;
-        }
-        return false;
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        if (!digits())
-            return false;
-        if (peek() == '.') {
-            ++pos_;
-            if (!digits())
-                return false;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-')
-                ++pos_;
-            if (!digits())
-                return false;
-        }
-        return pos_ > start;
-    }
-
-    bool
-    digits()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < s_.size() &&
-               std::isdigit(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-        return pos_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const std::size_t len = std::strlen(word);
-        if (s_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
+using test::JsonChecker;
 
 std::string
 tempPath(const std::string &tag)
@@ -630,45 +435,6 @@ TEST(ObsEventLog, DisabledLogIsSilent)
     log.write(LogLevel::Error, "test", "nowhere", {});
 }
 
-// --- Chrome trace -----------------------------------------------------
-
-TEST(ObsChromeTrace, EmitsValidTraceDocument)
-{
-    const std::string path = tempPath("trace");
-    ChromeTrace trace;
-    trace.configure(path);
-    ASSERT_TRUE(trace.enabled());
-    trace.record("alpha", 1000, 500);
-    trace.record("beta", 2000, 250);
-    trace.flush();
-    const std::string doc = slurp(path);
-    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
-    EXPECT_NE(doc.find("\"alpha\""), std::string::npos);
-    EXPECT_NE(doc.find("\"beta\""), std::string::npos);
-    EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-    EXPECT_EQ(trace.dropped(), 0u);
-    trace.configure("");
-    std::remove(path.c_str());
-}
-
-TEST(ObsChromeTrace, FileIsCompleteAfterEveryFlush)
-{
-    const std::string path = tempPath("reflush");
-    ChromeTrace trace;
-    trace.configure(path);
-    trace.record("first", 0, 10);
-    trace.flush();
-    EXPECT_TRUE(JsonChecker(slurp(path)).valid());
-    trace.record("second", 20, 10);
-    trace.flush();
-    const std::string doc = slurp(path);
-    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
-    EXPECT_NE(doc.find("\"first\""), std::string::npos);
-    EXPECT_NE(doc.find("\"second\""), std::string::npos);
-    trace.configure("");
-    std::remove(path.c_str());
-}
-
 // --- the zero-perturbation invariant ----------------------------------
 
 double
@@ -730,24 +496,32 @@ TEST(ObsZeroPerturbation, LoggingAndTracingChangeNoResultBit)
 {
     // Baseline: observability sinks disabled.
     unsetenv("PPM_LOG");
-    unsetenv("PPM_TRACE_OUT");
-    reconfigureFromEnv();
+    unsetenv("PPM_TRACE_SAMPLE");
+    EventLog::instance().configureFromEnv();
+    traceConfigureFromEnv();
+    ASSERT_FALSE(tracingEnabled());
     const core::AdaptiveResult off = runPipeline();
 
-    // Hot run: JSONL log at debug level plus Chrome tracing.
+    // Hot run: JSONL log at debug level plus every build traced.
     const std::string log_path = tempPath("zp_log");
-    const std::string trace_path = tempPath("zp_trace");
     setenv("PPM_LOG", log_path.c_str(), 1);
     setenv("PPM_LOG_LEVEL", "debug", 1);
-    setenv("PPM_TRACE_OUT", trace_path.c_str(), 1);
-    reconfigureFromEnv();
+    setenv("PPM_TRACE_SAMPLE", "1", 1);
+    EventLog::instance().configureFromEnv();
+    traceConfigureFromEnv();
+    SpanBuffer::instance().clear();
     const core::AdaptiveResult on = runPipeline();
+    const std::vector<SpanRecord> spans =
+        SpanBuffer::instance().snapshot();
 
-    // Sinks off again (also flushes the trace buffer to disk).
+    // Sinks off again; an unset PPM_TRACE_SAMPLE turns tracing off.
     unsetenv("PPM_LOG");
     unsetenv("PPM_LOG_LEVEL");
-    unsetenv("PPM_TRACE_OUT");
-    reconfigureFromEnv();
+    unsetenv("PPM_TRACE_SAMPLE");
+    EventLog::instance().configureFromEnv();
+    traceConfigureFromEnv();
+    EXPECT_FALSE(tracingEnabled());
+    SpanBuffer::instance().clear();
 
     expectBitIdentical(off, on);
 
@@ -760,13 +534,15 @@ TEST(ObsZeroPerturbation, LoggingAndTracingChangeNoResultBit)
     std::string line;
     while (std::getline(lines, line))
         EXPECT_TRUE(JsonChecker(line).valid()) << line;
-    const std::string trace = slurp(trace_path);
-    EXPECT_FALSE(trace.empty());
-    EXPECT_TRUE(JsonChecker(trace).valid());
-    EXPECT_NE(trace.find("adaptive.refit"), std::string::npos);
+    std::size_t roots = 0, refits = 0;
+    for (const SpanRecord &s : spans) {
+        roots += std::string(s.name) == "adaptive.build";
+        refits += std::string(s.name) == "adaptive.refit";
+    }
+    EXPECT_EQ(roots, 1u);
+    EXPECT_GT(refits, 0u);
 #endif
     std::remove(log_path.c_str());
-    std::remove(trace_path.c_str());
 }
 
 TEST(ObsZeroPerturbation, RepeatedRunsAreBitIdentical)

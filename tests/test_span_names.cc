@@ -1,10 +1,11 @@
 /**
  * @file
- * Span-name lint: every `OBS_SPAN("…")` literal in src/ and tools/
- * names one histogram. A name used at two sites mixes two durations
- * in one histogram, and a `span.` prefix doubles the one SpanSite
- * already adds (`span.span.x`). Comments are skipped: doc comments
- * quote example span sites.
+ * Span-name lint: every `OBS_SPAN("…")` and `TraceRoot x("…")` literal
+ * in src/ and tools/ is a distinct name. A span name used at two sites
+ * mixes two durations in one histogram, and `ppm_trace` output cannot
+ * tell a root from a span of the same name. A `span.` prefix on an
+ * OBS_SPAN doubles the one SpanSite already adds (`span.span.x`).
+ * Comments are skipped: doc comments quote example span sites.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@ struct SpanSite
 {
     std::string name;
     int line = 0;
+    bool root = false; ///< a TraceRoot, not an OBS_SPAN
 };
 
 bool
@@ -34,13 +36,15 @@ identChar(char c)
 }
 
 /**
- * The literal arguments of OBS_SPAN(...) calls in C++ source @p text,
- * outside comments, string literals and character literals.
+ * The literal names of OBS_SPAN("…") calls and TraceRoot var("…")
+ * declarations in C++ source @p text, outside comments, string
+ * literals and character literals.
  */
 std::vector<SpanSite>
 spanLiterals(const std::string &text)
 {
     static const std::string kMacro = "OBS_SPAN";
+    static const std::string kRoot = "TraceRoot";
     std::vector<SpanSite> sites;
     int line = 1;
     std::size_t i = 0;
@@ -57,6 +61,25 @@ spanLiterals(const std::string &text)
         }
         ++i;
         return body;
+    };
+    const auto skipSpace = [&] {
+        while (i < text.size() &&
+               std::isspace(static_cast<unsigned char>(text[i])))
+            line += text[i++] == '\n';
+    };
+    const auto wordAt = [&](const std::string &word) {
+        return text.compare(i, word.size(), word) == 0 &&
+               (i == 0 || !identChar(text[i - 1])) &&
+               !identChar(text[i + word.size()]);
+    };
+    // At an opening '(' or '{': record a literal first argument.
+    const auto literalArgument = [&](int at, bool root) {
+        if (i >= text.size() || (text[i] != '(' && text[i] != '{'))
+            return;
+        ++i;
+        skipSpace();
+        if (i < text.size() && text[i] == '"')
+            sites.push_back({quoted('"'), at, root});
     };
     while (i < text.size()) {
         const char c = text[i];
@@ -75,22 +98,20 @@ spanLiterals(const std::string &text)
                 line += text[i] == '\n';
         } else if (c == '"' || c == '\'') {
             quoted(c);
-        } else if (text.compare(i, kMacro.size(), kMacro) == 0 &&
-                   (i == 0 || !identChar(text[i - 1])) &&
-                   !identChar(text[i + kMacro.size()])) {
+        } else if (wordAt(kMacro)) {
             const int at = line;
             i += kMacro.size();
-            while (i < text.size() && std::isspace(static_cast<
-                                          unsigned char>(text[i])))
-                line += text[i++] == '\n';
-            if (i < text.size() && text[i] == '(') {
+            skipSpace();
+            literalArgument(at, false);
+        } else if (wordAt(kRoot)) {
+            // `TraceRoot name("…")`: skip the variable name.
+            const int at = line;
+            i += kRoot.size();
+            skipSpace();
+            while (i < text.size() && identChar(text[i]))
                 ++i;
-                while (i < text.size() && std::isspace(static_cast<
-                                              unsigned char>(text[i])))
-                    line += text[i++] == '\n';
-                if (i < text.size() && text[i] == '"')
-                    sites.push_back({quoted('"'), at});
-            }
+            skipSpace();
+            literalArgument(at, true);
         } else {
             ++i;
         }
@@ -107,19 +128,28 @@ TEST(SpanNames, ScannerSkipsCommentsAndStrings)
         "#define OBS_SPAN(name) x\n"
         "char q = '\"'; MY_OBS_SPAN(\"other.macro\");\n"
         "void f() { OBS_SPAN( \"real.one\" ); }\n"
-        "void g() {\n  OBS_SPAN(\"real.two\");\n}\n";
+        "void g() {\n  OBS_SPAN(\"real.two\");\n}\n"
+        "// obs::TraceRoot r(\"in.comment\");\n"
+        "TraceRoot::TraceRoot(const char *name) {}\n"
+        "MyTraceRoot r(\"other.class\");\n"
+        "void h() { obs::TraceRoot trace_root(\"real.root\"); }\n";
     const std::vector<SpanSite> sites = spanLiterals(text);
-    ASSERT_EQ(sites.size(), 2u);
+    ASSERT_EQ(sites.size(), 3u);
     EXPECT_EQ(sites[0].name, "real.one");
     EXPECT_EQ(sites[0].line, 7);
+    EXPECT_FALSE(sites[0].root);
     EXPECT_EQ(sites[1].name, "real.two");
     EXPECT_EQ(sites[1].line, 9);
+    EXPECT_EQ(sites[2].name, "real.root");
+    EXPECT_EQ(sites[2].line, 14);
+    EXPECT_TRUE(sites[2].root);
 }
 
 TEST(SpanNames, UniqueAndUnprefixedAcrossSources)
 {
     const fs::path root = PPM_SOURCE_DIR;
     std::map<std::string, std::vector<std::string>> sites_by_name;
+    std::map<std::string, bool> is_root;
     std::size_t files = 0;
     for (const char *dir : {"src", "tools"}) {
         for (const auto &entry :
@@ -131,14 +161,17 @@ TEST(SpanNames, UniqueAndUnprefixedAcrossSources)
             std::ifstream in(entry.path());
             std::stringstream text;
             text << in.rdbuf();
-            for (const SpanSite &site : spanLiterals(text.str()))
+            for (const SpanSite &site : spanLiterals(text.str())) {
                 sites_by_name[site.name].push_back(
                     fs::relative(entry.path(), root).string() + ":" +
                     std::to_string(site.line));
+                is_root[site.name] = site.root;
+            }
         }
     }
     ASSERT_GT(files, 0u) << "no sources under " << root;
     ASSERT_FALSE(sites_by_name.empty()) << "no OBS_SPAN sites found";
+    ASSERT_TRUE(is_root["core.build"]) << "no TraceRoot sites found";
     for (const auto &[name, sites] : sites_by_name) {
         std::string where;
         for (const std::string &site : sites)
@@ -146,9 +179,11 @@ TEST(SpanNames, UniqueAndUnprefixedAcrossSources)
         EXPECT_EQ(sites.size(), 1u)
             << "span \"" << name << "\" opened at several sites:"
             << where;
-        EXPECT_NE(name.rfind("span.", 0), 0u)
-            << "span \"" << name << "\" repeats the span. prefix "
-            << "SpanSite adds:" << where;
+        if (!is_root[name]) {
+            EXPECT_NE(name.rfind("span.", 0), 0u)
+                << "span \"" << name << "\" repeats the span. prefix "
+                << "SpanSite adds:" << where;
+        }
     }
 }
 

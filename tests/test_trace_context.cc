@@ -2,22 +2,38 @@
  * @file
  * Distributed trace-context unit suite: deterministic 1-in-N root
  * sampling, span parenting through nested ScopedSpans and the thread
- * pool, SpanBuffer overflow accounting, and the frame trace block
- * (round trip + propagation into encoded frames).
+ * pool, SpanBuffer overflow accounting, the offline roots (a sampled
+ * model build or trainer step exports every span it fires as one
+ * trace), and the frame trace block (round trip + propagation into
+ * encoded frames).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "core/model_builder.hh"
+#include "core/oracle.hh"
+#include "dspace/paper_space.hh"
+#include "math/rng.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_context.hh"
 #include "obs/trace_span.hh"
 #include "serve/protocol.hh"
+#include "serve/result_archive.hh"
+#include "trace/benchmark_profile.hh"
+#include "trace/trace_generator.hh"
+#include "train/online_trainer.hh"
 #include "util/thread_pool.hh"
 
 namespace {
@@ -195,6 +211,135 @@ TEST(TraceContext, JsonlDumpRoundTripsSpanFields)
     EXPECT_NE(text.find("\"name\":\"test.jsonl\""), std::string::npos);
     EXPECT_NE(text.find("\"trace\":\""), std::string::npos);
     EXPECT_NE(text.find("\"pid\":"), std::string::npos);
+}
+
+TEST(TraceContext, UnsetOrEmptySampleVariableTurnsTracingOff)
+{
+    ::setenv("PPM_TRACE_SAMPLE", "4", 1);
+    obs::traceConfigureFromEnv();
+    EXPECT_EQ(obs::traceSampleEvery(), 4u);
+    ::unsetenv("PPM_TRACE_SAMPLE");
+    obs::traceConfigureFromEnv();
+    EXPECT_FALSE(obs::tracingEnabled());
+
+    ::setenv("PPM_TRACE_SAMPLE", "4", 1);
+    obs::traceConfigureFromEnv();
+    ::setenv("PPM_TRACE_SAMPLE", "", 1);
+    obs::traceConfigureFromEnv();
+    EXPECT_FALSE(obs::tracingEnabled());
+    ::unsetenv("PPM_TRACE_SAMPLE");
+}
+
+// --- offline roots ---------------------------------------------------
+
+/**
+ * The sampled buffer holds one whole trace: exactly one @p root span
+ * (no parent), every other span in its trace with its parent in the
+ * buffer, spans from two or more threads, and per name exactly as many
+ * spans as the `span.<name>` histogram observed since @p before — so
+ * every span that fired was exported.
+ */
+void
+expectOneWholeTrace(const char *root, const obs::Snapshot &before)
+{
+    const auto spans = obs::SpanBuffer::instance().snapshot();
+    EXPECT_EQ(obs::SpanBuffer::instance().droppedCount(), 0u);
+    std::set<std::uint64_t> ids;
+    std::set<std::uint32_t> tids;
+    std::map<std::string, std::uint64_t> exported;
+    const obs::SpanRecord *root_span = nullptr;
+    for (const obs::SpanRecord &s : spans) {
+        ids.insert(s.span_id);
+        tids.insert(s.tid);
+        if (std::strcmp(s.name, root) != 0) {
+            ++exported[s.name];
+            continue;
+        }
+        EXPECT_EQ(root_span, nullptr) << "second " << root << " span";
+        root_span = &s;
+    }
+    ASSERT_NE(root_span, nullptr) << "no " << root << " span";
+    EXPECT_EQ(root_span->parent_span_id, 0u);
+    for (const obs::SpanRecord &s : spans) {
+        EXPECT_EQ(s.trace_hi, root_span->trace_hi) << s.name;
+        EXPECT_EQ(s.trace_lo, root_span->trace_lo) << s.name;
+        if (&s != root_span) {
+            EXPECT_TRUE(ids.count(s.parent_span_id))
+                << s.name << " has no parent in the buffer";
+        }
+    }
+    EXPECT_GE(tids.size(), 2u);
+
+    std::map<std::string, std::uint64_t> fired;
+    for (const obs::HistogramValue &h :
+         obs::delta(obs::Registry::instance().snapshot(), before)
+             .histograms)
+        if (h.name.rfind("span.", 0) == 0 && h.count > 0)
+            fired[h.name.substr(5)] = h.count;
+    EXPECT_FALSE(fired.empty());
+    EXPECT_EQ(exported, fired);
+}
+
+TEST(TraceRoots, SampledModelBuildExportsEverySpan)
+{
+    util::setGlobalThreads(3);
+    const dspace::DesignSpace space = dspace::paperTrainSpace();
+    const auto trace =
+        trace::generateTrace(trace::profileByName("mcf"), 2000);
+    core::SimulatorOracle oracle(space, trace);
+    core::ModelBuilder builder(space, dspace::paperTestSpace(), oracle);
+    core::BuildOptions opts;
+    opts.sample_sizes = {20};
+    opts.num_test_points = 12;
+    opts.lhs_candidates = 2;
+    opts.trainer.p_min_grid = {1, 2};
+    opts.trainer.alpha_grid = {2, 4};
+    {
+        TracingOn tracing(1);
+        const obs::Snapshot before = obs::Registry::instance().snapshot();
+        builder.build(opts);
+        expectOneWholeTrace("core.build", before);
+    }
+    util::setGlobalThreads(0);
+}
+
+TEST(TraceRoots, SampledTrainerStepExportsEverySpan)
+{
+    namespace fs = std::filesystem;
+    util::setGlobalThreads(3);
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("ppm_trace_roots_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    const std::string archive = (dir / "a.ppma").string();
+    const dspace::DesignSpace space = dspace::paperTrainSpace();
+    {
+        // A smooth stand-in response over memo-keyed points.
+        serve::ResultArchive ar(archive, "twolf|t2000|w0|CPI");
+        math::Rng rng(5);
+        for (int i = 0; i < 24; ++i) {
+            const dspace::DesignPoint p = space.randomPoint(rng);
+            const dspace::UnitPoint u = space.toUnit(p);
+            core::ResultStore::Key key;
+            for (double v : p)
+                key.push_back(std::llround(v * 1e6));
+            ar.append(key, 1.0 + 0.5 * u.front() + 0.25 * u.back());
+        }
+    }
+    train::OnlineTrainerOptions opts;
+    opts.trace_length = 2000;
+    opts.min_train_points = 10;
+    train::OnlineTrainer trainer(space, opts);
+    trainer.addArchive(archive);
+    {
+        TracingOn tracing(1);
+        const obs::Snapshot before = obs::Registry::instance().snapshot();
+        EXPECT_GE(trainer.step(), 10u);
+        EXPECT_EQ(trainer.refits(), 1u);
+        expectOneWholeTrace("train.root", before);
+    }
+    util::setGlobalThreads(0);
+    fs::remove_all(dir);
 }
 
 // --- frame trace block -----------------------------------------------

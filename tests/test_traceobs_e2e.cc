@@ -4,7 +4,9 @@
  * over two real ppm_serve processes on TCP yields — via the real
  * ppm_trace binary — a single merged Chrome trace where the client
  * root, both shard servers, the cache probe, and the RBF batch kernel
- * all share one trace id. And the model-drift monitor: a stale
+ * all share one trace id. ppm_trace writes valid JSON whose epoch
+ * timestamps and durations keep microsecond precision, and it reports
+ * the spans a client dump dropped. And the model-drift monitor: a stale
  * snapshot served against a workload whose ground truth sits in the
  * result cache fires the model_drift event within the sample budget,
  * with bit-deterministic streaming statistics across repeated runs.
@@ -13,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -39,6 +44,8 @@
 #include "serve/sim_server.hh"
 #include "serve/socket_io.hh"
 #include "serve/transport.hh"
+
+#include "json_checker.hh"
 
 extern char **environ;
 
@@ -191,6 +198,31 @@ spawn(const std::vector<const char *> &args)
     return pid;
 }
 
+/**
+ * Run the real ppm_trace with @p args plus `--out FILE`; returns the
+ * merged document, or "" after recording a failure.
+ */
+std::string
+runPpmTrace(std::vector<const char *> args)
+{
+    const std::string out_path = uniquePath("merged", ".json");
+    args.insert(args.begin(), PPM_TRACE_BIN);
+    args.push_back("--out");
+    args.push_back(out_path.c_str());
+    const pid_t merger = spawn(args);
+    int status = -1;
+    if (merger <= 0 || ::waitpid(merger, &status, 0) != merger ||
+        !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        ADD_FAILURE() << "ppm_trace failed (status " << status << ")";
+        return "";
+    }
+    std::ifstream in(out_path);
+    std::ostringstream doc;
+    doc << in.rdbuf();
+    ::unlink(out_path.c_str());
+    return doc.str();
+}
+
 TEST(TraceObsE2E, OneSampledBatchYieldsOneMergedCrossProcessTrace)
 {
     // Two real ppm_serve shards on TCP, tracing enabled via the
@@ -246,23 +278,11 @@ TEST(TraceObsE2E, OneSampledBatchYieldsOneMergedCrossProcessTrace)
         obs::SpanBuffer::instance().writeJsonl(client_jsonl));
 
     // The real merge tool: pull both servers, merge the client dump.
-    const std::string trace_path = uniquePath("trace", ".json");
     const std::string socket_list = ep1 + "," + ep2;
-    const pid_t merger =
-        spawn({PPM_TRACE_BIN, "--socket", socket_list.c_str(), "--in",
-               client_jsonl.c_str(), "--out", trace_path.c_str()});
-    ASSERT_GT(merger, 0);
-    int status = -1;
-    ASSERT_EQ(::waitpid(merger, &status, 0), merger);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "ppm_trace failed (status " << status << ")";
-
-    std::ifstream in(trace_path);
-    ASSERT_TRUE(in.good());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::vector<TraceEvent> events =
-        parseTraceEvents(buffer.str());
+    const std::string doc = runPpmTrace(
+        {"--socket", socket_list.c_str(), "--in", client_jsonl.c_str()});
+    EXPECT_TRUE(test::JsonChecker(doc).valid());
+    const std::vector<TraceEvent> events = parseTraceEvents(doc);
 
     // The acceptance bar: one trace id spanning client, both shard
     // servers, the cache probe, and the RBF batch kernel.
@@ -292,12 +312,112 @@ TEST(TraceObsE2E, OneSampledBatchYieldsOneMergedCrossProcessTrace)
 
     for (pid_t pid : servers) {
         ::kill(pid, SIGTERM);
-        ::waitpid(pid, &status, 0);
+        ::waitpid(pid, nullptr, 0);
     }
     ::unsetenv("PPM_TRACE_SAMPLE");
     ::unlink(snap_path.c_str());
     ::unlink(client_jsonl.c_str());
-    ::unlink(trace_path.c_str());
+}
+
+/** One span line in the PPM_SPANS_OUT format SpanBuffer writes. */
+std::string
+spanLine(std::uint64_t span_id, std::uint64_t ts_ns,
+         std::uint64_t dur_ns)
+{
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"trace\":\"%032x\",\"span\":\"%016llx\","
+                  "\"parent\":\"%016x\",\"name\":\"test.span\","
+                  "\"ts_ns\":%llu,\"dur_ns\":%llu,\"pid\":4242,"
+                  "\"tid\":1}\n",
+                  0xab, static_cast<unsigned long long>(span_id), 0,
+                  static_cast<unsigned long long>(ts_ns),
+                  static_cast<unsigned long long>(dur_ns));
+    return line;
+}
+
+TEST(TraceObsE2E, MergedTimestampsKeepMicrosecondPrecision)
+{
+    // Current-epoch spans 1 us apart, plus one 12.345678 s span: each
+    // ts/dur must read back within 1 us of the nanoseconds dumped.
+    const std::uint64_t now_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count());
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
+        want; // span id -> (ts_ns, dur_ns)
+    for (std::uint64_t id = 1; id <= 8; ++id)
+        want[id] = {now_ns + id * 1000, 250 + id};
+    want[9] = {now_ns + 9000, 12'345'678'000};
+    const std::string jsonl = uniquePath("precision", ".jsonl");
+    {
+        std::ofstream out(jsonl);
+        for (const auto &[id, span] : want)
+            out << spanLine(id, span.first, span.second);
+    }
+    const std::string doc = runPpmTrace({"--in", jsonl.c_str()});
+    ::unlink(jsonl.c_str());
+    EXPECT_TRUE(test::JsonChecker(doc).valid()) << doc;
+
+    const auto numberAfter = [](const std::string &obj,
+                                const std::string &key) {
+        const std::size_t at = obj.find(key);
+        EXPECT_NE(at, std::string::npos) << key << " in " << obj;
+        return std::strtold(obj.c_str() + at + key.size(), nullptr);
+    };
+    std::size_t checked = 0;
+    std::size_t pos = 0;
+    while ((pos = doc.find("{\"name\":\"test.span\"", pos)) !=
+           std::string::npos) {
+        const std::size_t end = doc.find("}}", pos);
+        ASSERT_NE(end, std::string::npos);
+        const std::string obj = doc.substr(pos, end - pos);
+        pos = end;
+        const std::size_t span_at = obj.find("\"span\":\"");
+        ASSERT_NE(span_at, std::string::npos) << obj;
+        const auto it = want.find(
+            std::strtoull(obj.c_str() + span_at + 8, nullptr, 16));
+        ASSERT_NE(it, want.end()) << obj;
+        const auto [ts_ns, dur_ns] = it->second;
+        EXPECT_LE(std::fabs(numberAfter(obj, "\"ts\":") - ts_ns / 1e3L),
+                  1.0L)
+            << obj;
+        EXPECT_LE(
+            std::fabs(numberAfter(obj, "\"dur\":") - dur_ns / 1e3L),
+            1.0L)
+            << obj;
+        ++checked;
+    }
+    EXPECT_EQ(checked, want.size());
+}
+
+TEST(TraceObsE2E, MergedTraceReportsSpansTheDumpDropped)
+{
+    obs::SpanBuffer &buffer = obs::SpanBuffer::instance();
+    buffer.clear();
+    obs::SpanRecord span;
+    span.trace_hi = 1;
+    span.name = "test.flood";
+    for (std::size_t i = 0; i < obs::SpanBuffer::kMaxSpans + 10; ++i) {
+        span.span_id = i + 1;
+        buffer.record(span);
+    }
+    const std::string jsonl = uniquePath("flood", ".jsonl");
+    ASSERT_TRUE(buffer.writeJsonl(jsonl));
+    buffer.clear();
+
+    const std::string doc = runPpmTrace({"--in", jsonl.c_str()});
+    ::unlink(jsonl.c_str());
+    const std::string footer =
+        doc.substr(doc.size() > 200 ? doc.size() - 200 : 0);
+    EXPECT_NE(footer.find("\"ppm_dropped_spans\":\"10\""),
+              std::string::npos)
+        << footer;
+    EXPECT_NE(footer.find("\"ppm_spans\":\"" +
+                          std::to_string(obs::SpanBuffer::kMaxSpans) +
+                          "\""),
+              std::string::npos)
+        << footer;
 }
 
 TEST(TraceObsE2E, StaleModelFiresDriftEventDeterministically)

@@ -43,6 +43,7 @@
 #include "dspace/paper_space.hh"
 #include "linreg/model_selection.hh"
 #include "math/rng.hh"
+#include "obs/trace_context.hh"
 #include "rbf/trainer.hh"
 #include "sampling/sample_gen.hh"
 #include "serve/model_snapshot.hh"
@@ -142,110 +143,115 @@ main(int argc, char **argv)
         const auto space = dspace::paperTrainSpace();
         const core::Metric metric = core::Metric::Cpi;
 
-        // Training data: archived results, or fresh simulations.
-        std::vector<dspace::DesignPoint> points;
-        std::vector<double> ys;
-        if (!archive_path.empty()) {
-            // Archive keys are the memo-cache keys: each coordinate
-            // stored as llround(value * 1e6); invert to raw points.
-            const std::string context =
-                benchmark + "|t" + std::to_string(trace_length) +
-                "|w" + std::to_string(warmup) + "|" +
-                core::metricName(metric);
-            serve::ResultArchive archive(archive_path, context);
-            archive.load([&](const core::ResultStore::Key &key,
-                             double value) {
-                dspace::DesignPoint point(key.size());
-                for (std::size_t d = 0; d < key.size(); ++d)
-                    point[d] =
-                        static_cast<double>(key[d]) / 1e6;
-                if (point.size() != space.size() ||
-                    !space.contains(point))
-                    return; // foreign or out-of-space record
-                points.push_back(std::move(point));
-                ys.push_back(value);
-            });
-            if (points.empty())
-                throw std::runtime_error(
-                    "archive holds no usable records for context " +
-                    context);
-        } else {
-            const auto trace = trace::generateTrace(
-                trace::profileByName(benchmark),
-                static_cast<std::size_t>(trace_length));
-            sim::SimOptions sim_options;
-            sim_options.warmup_instructions = warmup;
-            const auto oracle = serve::makeOracle(
-                space, benchmark, trace, sim_options, metric);
-            math::Rng rng(seed);
-            points = sampling::bestLatinHypercube(space, samples, 32,
-                                                  rng)
-                         .points;
-            ys = oracle->evaluateAll(points);
-        }
-
+        // Sample -> train -> CV is one offline build: one trace root.
         std::vector<dspace::UnitPoint> xs;
-        xs.reserve(points.size());
-        for (const auto &p : points)
-            xs.push_back(space.toUnit(p));
-
-        if (verbose)
-            std::fprintf(stderr,
-                         "ppm_publish: training on %zu points\n",
-                         xs.size());
-        const rbf::TrainedRbf trained = rbf::trainRbfModel(xs, ys);
-        const linreg::SelectedLinearModel linear =
-            linreg::fitSelectedLinearModel(xs, ys);
-
-        // Training-time cross-validated relative error: the drift
-        // monitor's baseline (snapshot format 2). Deterministic
-        // k-fold with a round-robin split (no RNG) refitting at the
-        // winning (p_min, alpha) only, so repeated publishes of the
-        // same data store the same baseline bit-for-bit.
+        rbf::TrainedRbf trained;
+        linreg::SelectedLinearModel linear;
         double cv_error = 0.0;
-        const std::size_t folds =
-            std::min<std::size_t>(5, xs.size() / 2);
-        if (folds >= 2) {
-            rbf::TrainerOptions fold_options;
-            fold_options.p_min_grid = {trained.p_min};
-            fold_options.alpha_grid = {trained.alpha};
-            double err_sum = 0.0;
-            std::size_t err_n = 0;
-            for (std::size_t f = 0; f < folds; ++f) {
-                std::vector<dspace::UnitPoint> train_xs, test_xs;
-                std::vector<double> train_ys, test_ys;
-                for (std::size_t i = 0; i < xs.size(); ++i) {
-                    if (i % folds == f) {
-                        test_xs.push_back(xs[i]);
-                        test_ys.push_back(ys[i]);
-                    } else {
-                        train_xs.push_back(xs[i]);
-                        train_ys.push_back(ys[i]);
-                    }
-                }
-                try {
-                    const rbf::TrainedRbf fold = rbf::trainRbfModel(
-                        train_xs, train_ys, fold_options);
-                    for (std::size_t i = 0; i < test_xs.size(); ++i) {
-                        const double pred =
-                            fold.network.predict(test_xs[i]);
-                        err_sum += std::abs(pred - test_ys[i]) /
-                                   std::max(std::abs(test_ys[i]),
-                                            1e-12);
-                        ++err_n;
-                    }
-                } catch (const std::exception &) {
-                    // A fold too small to fit leaves the estimate to
-                    // the remaining folds.
-                }
+        {
+            obs::TraceRoot trace_root("publish.build");
+            // Training data: archived results, or fresh simulations.
+            std::vector<dspace::DesignPoint> points;
+            std::vector<double> ys;
+            if (!archive_path.empty()) {
+                // Archive keys are the memo-cache keys: each coordinate
+                // stored as llround(value * 1e6); invert to raw points.
+                const std::string context =
+                    benchmark + "|t" + std::to_string(trace_length) +
+                    "|w" + std::to_string(warmup) + "|" +
+                    core::metricName(metric);
+                serve::ResultArchive archive(archive_path, context);
+                archive.load([&](const core::ResultStore::Key &key,
+                                 double value) {
+                    dspace::DesignPoint point(key.size());
+                    for (std::size_t d = 0; d < key.size(); ++d)
+                        point[d] =
+                            static_cast<double>(key[d]) / 1e6;
+                    if (point.size() != space.size() ||
+                        !space.contains(point))
+                        return; // foreign or out-of-space record
+                    points.push_back(std::move(point));
+                    ys.push_back(value);
+                });
+                if (points.empty())
+                    throw std::runtime_error(
+                        "archive holds no usable records for context " +
+                        context);
+            } else {
+                const auto trace = trace::generateTrace(
+                    trace::profileByName(benchmark),
+                    static_cast<std::size_t>(trace_length));
+                sim::SimOptions sim_options;
+                sim_options.warmup_instructions = warmup;
+                const auto oracle = serve::makeOracle(
+                    space, benchmark, trace, sim_options, metric);
+                math::Rng rng(seed);
+                points = sampling::bestLatinHypercube(space, samples, 32,
+                                                      rng)
+                             .points;
+                ys = oracle->evaluateAll(points);
             }
-            if (err_n > 0)
-                cv_error = err_sum / static_cast<double>(err_n);
+
+            xs.reserve(points.size());
+            for (const auto &p : points)
+                xs.push_back(space.toUnit(p));
+
             if (verbose)
                 std::fprintf(stderr,
-                             "ppm_publish: %zu-fold CV relative error"
-                             " %.4f (%zu held-out points)\n",
-                             folds, cv_error, err_n);
+                             "ppm_publish: training on %zu points\n",
+                             xs.size());
+            trained = rbf::trainRbfModel(xs, ys);
+            linear = linreg::fitSelectedLinearModel(xs, ys);
+
+            // Training-time cross-validated relative error: the drift
+            // monitor's baseline (snapshot format 2). Deterministic
+            // k-fold with a round-robin split (no RNG) refitting at the
+            // winning (p_min, alpha) only, so repeated publishes of the
+            // same data store the same baseline bit-for-bit.
+            const std::size_t folds =
+                std::min<std::size_t>(5, xs.size() / 2);
+            if (folds >= 2) {
+                rbf::TrainerOptions fold_options;
+                fold_options.p_min_grid = {trained.p_min};
+                fold_options.alpha_grid = {trained.alpha};
+                double err_sum = 0.0;
+                std::size_t err_n = 0;
+                for (std::size_t f = 0; f < folds; ++f) {
+                    std::vector<dspace::UnitPoint> train_xs, test_xs;
+                    std::vector<double> train_ys, test_ys;
+                    for (std::size_t i = 0; i < xs.size(); ++i) {
+                        if (i % folds == f) {
+                            test_xs.push_back(xs[i]);
+                            test_ys.push_back(ys[i]);
+                        } else {
+                            train_xs.push_back(xs[i]);
+                            train_ys.push_back(ys[i]);
+                        }
+                    }
+                    try {
+                        const rbf::TrainedRbf fold = rbf::trainRbfModel(
+                            train_xs, train_ys, fold_options);
+                        for (std::size_t i = 0; i < test_xs.size(); ++i) {
+                            const double pred =
+                                fold.network.predict(test_xs[i]);
+                            err_sum += std::abs(pred - test_ys[i]) /
+                                       std::max(std::abs(test_ys[i]),
+                                                1e-12);
+                            ++err_n;
+                        }
+                    } catch (const std::exception &) {
+                        // A fold too small to fit leaves the estimate to
+                        // the remaining folds.
+                    }
+                }
+                if (err_n > 0)
+                    cv_error = err_sum / static_cast<double>(err_n);
+                if (verbose)
+                    std::fprintf(stderr,
+                                 "ppm_publish: %zu-fold CV relative error"
+                                 " %.4f (%zu held-out points)\n",
+                                 folds, cv_error, err_n);
+            }
         }
 
         serve::ModelSnapshot snap;

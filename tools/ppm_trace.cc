@@ -12,17 +12,19 @@
  * Endpoints default to $PPM_SERVE_SOCKET. Each server contributes a
  * TraceDump (pid, endpoint, spans, drop count); each --in FILE
  * contributes one process's JSONL dump (the format SpanBuffer
- * writes). Spans carry wall-clock (epoch) timestamps, so merging is
- * ordering by start time — no clock negotiation. --trace-id keeps
- * only spans of one trace (32 hex digits, or any unique prefix).
- * --drain also clears the server-side buffers so the next pull starts
- * fresh.
+ * writes: span lines and a drop-count trailer). Spans carry
+ * wall-clock (epoch) timestamps, so merging is ordering by start
+ * time — no clock negotiation. --trace-id keeps only spans of one
+ * trace (32 hex digits, or any unique prefix). --drain also clears
+ * the server-side buffers so the next pull starts fresh.
  *
  * Output: a JSON object ({"traceEvents": [...]}) with one complete
  * ("ph":"X") event per span, pid/tid preserved, process_name metadata
  * naming each server's endpoint, and the trace id + span/parent ids
  * in args — Perfetto groups one request's spans across every process
- * because they share "ts" ranges and args.trace.
+ * because they share "ts" ranges and args.trace. The otherData footer
+ * counts the spans written and the spans every source dropped. This
+ * is the repository's only Chrome-trace writer.
  *
  * Exit status: 0 with every source read, 1 when at least one endpoint
  * or file failed (the merge of the rest still writes), 2 on usage
@@ -109,31 +111,47 @@ jsonField(const std::string &line, const char *key, std::string &out)
     return true;
 }
 
-/** Read one process's JSONL dump into a TraceDump (pid per line). */
+/**
+ * Read a JSONL dump into one TraceDump per pid: span lines, plus the
+ * `{"pid":…,"dropped_spans":N}` trailer SpanBuffer ends each dump with.
+ */
 std::vector<TraceDump>
 readJsonl(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         throw std::runtime_error(path + ": cannot open");
-    // One dump per pid seen in the file.
     std::vector<TraceDump> dumps;
+    const auto dumpFor = [&](std::uint32_t pid) -> TraceDump & {
+        for (TraceDump &d : dumps)
+            if (d.pid == pid)
+                return d;
+        TraceDump &d = dumps.emplace_back();
+        d.pid = pid;
+        d.endpoint = path;
+        return d;
+    };
     std::string line;
     while (std::getline(in, line)) {
-        if (line.empty())
+        std::string pid, dropped;
+        if (!jsonField(line, "pid", pid))
             continue;
-        std::string trace, span, parent, name, ts, dur, pid, tid;
+        const std::uint32_t line_pid = static_cast<std::uint32_t>(
+            std::strtoul(pid.c_str(), nullptr, 10));
+        if (jsonField(line, "dropped_spans", dropped)) {
+            dumpFor(line_pid).dropped +=
+                std::strtoull(dropped.c_str(), nullptr, 10);
+            continue;
+        }
+        std::string trace, span, parent, name, ts, dur, tid;
         if (!jsonField(line, "trace", trace) ||
             !jsonField(line, "span", span) ||
             !jsonField(line, "name", name) ||
             !jsonField(line, "ts_ns", ts) ||
-            !jsonField(line, "dur_ns", dur) ||
-            !jsonField(line, "pid", pid))
+            !jsonField(line, "dur_ns", dur) || trace.size() != 32)
             continue; // not a span line
         jsonField(line, "parent", parent);
         jsonField(line, "tid", tid);
-        if (trace.size() != 32)
-            continue;
         TraceSpan s;
         s.trace_hi = std::strtoull(trace.substr(0, 16).c_str(),
                                    nullptr, 16);
@@ -146,19 +164,7 @@ readJsonl(const std::string &path)
         s.dur_ns = std::strtoull(dur.c_str(), nullptr, 10);
         s.tid = static_cast<std::uint32_t>(
             std::strtoul(tid.c_str(), nullptr, 10));
-        const std::uint32_t span_pid = static_cast<std::uint32_t>(
-            std::strtoul(pid.c_str(), nullptr, 10));
-        TraceDump *dump = nullptr;
-        for (TraceDump &d : dumps)
-            if (d.pid == span_pid)
-                dump = &d;
-        if (dump == nullptr) {
-            dumps.emplace_back();
-            dump = &dumps.back();
-            dump->pid = span_pid;
-            dump->endpoint = path;
-        }
-        dump->spans.push_back(std::move(s));
+        dumpFor(line_pid).spans.push_back(std::move(s));
     }
     return dumps;
 }
@@ -213,20 +219,22 @@ chromeTrace(const std::vector<TraceDump> &dumps,
             if (!first)
                 out << ",";
             first = false;
-            char ids[96];
-            std::snprintf(ids, sizeof(ids),
+            // Chrome trace "ts"/"dur" are microseconds, printed as
+            // exact decimals of the integer nanoseconds: epoch times
+            // need 19 significant digits.
+            char fields[192];
+            std::snprintf(fields, sizeof(fields),
+                          "\"ts\":%" PRIu64 ".%03" PRIu64
+                          ",\"dur\":%" PRIu64 ".%03" PRIu64
+                          ",\"args\":{\"trace\":\"%s\","
                           "\"span\":\"%016" PRIx64
-                          "\",\"parent\":\"%016" PRIx64 "\"",
-                          s.span_id, s.parent_span_id);
-            // Chrome trace "ts"/"dur" are microseconds (doubles keep
-            // sub-us precision).
+                          "\",\"parent\":\"%016" PRIx64 "\"}}",
+                          s.start_unix_ns / 1000, s.start_unix_ns % 1000,
+                          s.dur_ns / 1000, s.dur_ns % 1000,
+                          trace_id.c_str(), s.span_id, s.parent_span_id);
             out << "{\"name\":\"" << jsonEscape(s.name)
                 << "\",\"ph\":\"X\",\"pid\":" << dump.pid
-                << ",\"tid\":" << s.tid << ",\"ts\":"
-                << static_cast<double>(s.start_unix_ns) / 1e3
-                << ",\"dur\":" << static_cast<double>(s.dur_ns) / 1e3
-                << ",\"args\":{\"trace\":\"" << trace_id << "\","
-                << ids << "}}";
+                << ",\"tid\":" << s.tid << "," << fields;
         }
     }
     out << "],\"otherData\":{\"ppm_spans\":\"" << emitted
