@@ -185,7 +185,7 @@ BM_RbfTraining(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RbfTraining)->Unit(benchmark::kMillisecond)
-    ->Arg(50)->Arg(90);
+    ->Arg(50)->Arg(90)->Arg(200);
 
 /**
  * The headline parallel-engine benchmark: a 200-point oracle batch
@@ -407,8 +407,8 @@ BENCHMARK(BM_AdaptiveAcquisition)->Unit(benchmark::kMillisecond)
  * versus the full trainRbfModel() pass (new tree, new subset
  * selection, fresh grid search over the whole archive) the online
  * trainer falls back to on its growth/error triggers. arg = archive
- * size n; both benchmarks share the same archive and the same
- * capacity-capped onlineRefitOptions(n). The committed
+ * size n; both benchmarks share the same archive and, on the grid:n
+ * rows, the same capacity-capped onlineRefitOptions(n). The committed
  * bench_results/BENCH_online.json ratio at n = 4096 backs the >= 10x
  * steady-state claim in DESIGN.md.
  */
@@ -456,12 +456,18 @@ BM_OnlineIncrementalFold(benchmark::State &state)
 BENCHMARK(BM_OnlineIncrementalFold)->Unit(benchmark::kMillisecond)
     ->ArgName("archive")->Arg(1024)->Arg(4096);
 
+/**
+ * args: (archive size, grid size). onlineRefitOptions(n) grows p_min
+ * with n, so the grid:4096 row retrains the 1024-point archive on the
+ * 4096-point archive's grid: the two sizes on one grid.
+ */
 void
 BM_OnlineFullRetrain(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     const OnlineArchive &a = onlineArchive(n);
-    const auto opts = train::onlineRefitOptions(n);
+    const auto opts =
+        train::onlineRefitOptions(static_cast<std::size_t>(state.range(1)));
     for (auto _ : state) {
         auto model = rbf::trainRbfModel(a.data.xs, a.data.ys, opts);
         benchmark::DoNotOptimize(model.num_centers);
@@ -470,7 +476,8 @@ BM_OnlineFullRetrain(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OnlineFullRetrain)->Unit(benchmark::kMillisecond)
-    ->ArgName("archive")->Arg(1024)->Arg(4096);
+    ->ArgNames({"archive", "grid"})
+    ->Args({1024, 1024})->Args({4096, 4096})->Args({1024, 4096});
 
 void
 BM_RbfPrediction(benchmark::State &state)

@@ -57,44 +57,6 @@ choleskySolve(const Matrix &a, const Vector &b)
 }
 
 std::optional<Vector>
-gaussSolve(Matrix a, Vector b)
-{
-    assert(a.rows() == a.cols() && a.rows() == b.size());
-    const std::size_t n = a.rows();
-    for (std::size_t col = 0; col < n; ++col) {
-        // Partial pivoting: bring the largest remaining entry up.
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r)
-            if (std::fabs(a(r, col)) > std::fabs(a(pivot, col)))
-                pivot = r;
-        if (std::fabs(a(pivot, col)) < 1e-300)
-            return std::nullopt;
-        if (pivot != col) {
-            for (std::size_t c = 0; c < n; ++c)
-                std::swap(a(col, c), a(pivot, c));
-            std::swap(b[col], b[pivot]);
-        }
-        const double inv = 1.0 / a(col, col);
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const double f = a(r, col) * inv;
-            if (f == 0.0)
-                continue;
-            for (std::size_t c = col; c < n; ++c)
-                a(r, c) -= f * a(col, c);
-            b[r] -= f * b[col];
-        }
-    }
-    Vector x(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = b[ii];
-        for (std::size_t c = ii + 1; c < n; ++c)
-            acc -= a(ii, c) * x[c];
-        x[ii] = acc / a(ii, ii);
-    }
-    return x;
-}
-
-std::optional<Vector>
 qrSolve(const Matrix &a, const Vector &y)
 {
     assert(a.rows() >= a.cols());

@@ -1,8 +1,8 @@
 /**
  * @file
- * Linear algebra solvers: Cholesky factorization, Householder QR,
- * least-squares with ridge fallback, and Gaussian elimination. These back
- * the RBF output-weight fit and the linear baseline model.
+ * Linear algebra solvers: Cholesky factorization, Householder QR and
+ * least-squares with ridge fallback. These back the RBF output-weight
+ * fit and the linear baseline model.
  */
 
 #ifndef PPM_MATH_LINALG_HH
@@ -29,13 +29,6 @@ std::optional<Matrix> cholesky(const Matrix &a);
  * @return Solution x, or std::nullopt if @p a is not positive definite.
  */
 std::optional<Vector> choleskySolve(const Matrix &a, const Vector &b);
-
-/**
- * Solve a * x = b with Gaussian elimination and partial pivoting.
- *
- * @return Solution x, or std::nullopt if @p a is singular.
- */
-std::optional<Vector> gaussSolve(Matrix a, Vector b);
 
 /**
  * Result of a least-squares fit.

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-
-#include "math/linalg.hh"
+#include <span>
+#include <utility>
 
 namespace ppm::rbf {
 
@@ -13,26 +14,98 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/** Sorted candidate indices of a center subset. */
+using Indices = std::vector<std::size_t>;
+
+/** Training points per design-matrix block in SubsetScorer. */
+constexpr std::size_t kDesignBlock = 256;
+
+/** Offset of row @p i in a packed lower-triangular matrix. */
+constexpr std::size_t
+packedRow(std::size_t i)
+{
+    return i * (i + 1) / 2;
+}
+
 /**
  * Scores center subsets against the training data.
  *
  * The full-candidate Gram matrix G = H^T H and correlation vector
- * H^T y are computed once; scoring a subset S then only needs the
- * m x m principal submatrix G[S, S], a Cholesky solve, and
- * SSE = y^T y - w^T (H^T y)[S]. This keeps the 8-way tree-ordered
- * search affordable even with hundreds of candidates.
+ * H^T y are computed once. Scoring a subset S solves the normal
+ * equations G[S,S] w = (H^T y)[S] by Cholesky and takes the SSE from
+ * the actual residuals y - H[:,S] w, never from the shortcut
+ * y^T y - w^T (H^T y)[S], which cancels catastrophically when G[S,S]
+ * is near singular.
+ *
+ * Every score reuses the incumbent subset's factor. math::cholesky is
+ * left-looking, so row i of L depends only on the leading
+ * (i+1) x (i+1) block of G, in the same operation order: a subset
+ * whose first q sorted indices equal the incumbent's has the
+ * incumbent's first q rows of L and of z = L^-1 (H^T y)[S], bit for
+ * bit. Only rows q..m-1 are computed, one at a time, reading G
+ * straight from the Gram matrix. The back substitution, the ridge
+ * fallback and the residual pass run from scratch in
+ * math::choleskySolve's summation order, so every weight and SSE
+ * equals a from-scratch fit's.
+ *
+ * The subset scored last can be held as a round's best and then
+ * promoted to incumbent; both are buffer swaps. Buffers are sized at
+ * construction, so a score allocates nothing. A scorer serves one
+ * grid cell.
  */
 class SubsetScorer
 {
   public:
     SubsetScorer(const std::vector<GaussianBasis> &candidates,
                  const std::vector<dspace::UnitPoint> &xs,
-                 const std::vector<double> &ys)
-        : p_(xs.size()), h_(designMatrix(candidates, xs)), ys_(ys)
+                 const std::vector<double> &ys,
+                 const RbfRtOptions &options)
+        : p_(xs.size()), ys_(ys), criterion_(options.criterion),
+          max_centers_(options.max_centers)
     {
-        gram_ = h_.gram();
-        hty_ = h_.transposeTimes(ys);
-        yty_ = 0.0;
+        // H is evaluated a block of points at a time and kept only
+        // candidate-major, so the residual pass reads whole columns and
+        // H is never held in both layouts. G = H^T H and H^T y
+        // accumulate point by point in Matrix::gram()'s and
+        // Matrix::transposeTimes()'s order.
+        const std::size_t n = candidates.size();
+        const BatchPlan plan(candidates, {});
+        for (std::size_t r0 = 0; r0 < p_; r0 += kDesignBlock) {
+            const std::size_t r1 = std::min(p_, r0 + kDesignBlock);
+            const math::Matrix h =
+                plan.designMatrix({xs.begin() + r0, xs.begin() + r1});
+            if (r0 == 0) {
+                // Allocated after the first block on purpose: allocated
+                // before it, these raised the peak RSS of the Table 3
+                // build benchmark by ~5% (glibc malloc, 4 threads).
+                gram_ = math::Matrix(n, n);
+                hty_.assign(n, 0.0);
+                ht_ = math::Matrix(n, p_);
+            }
+            double *hty = hty_.data();
+            for (std::size_t r = r0; r < r1; ++r) {
+                const double *a = h.rowPtr(r - r0);
+                const double yr = ys[r];
+                for (std::size_t i = 0; i < n; ++i)
+                    hty[i] += a[i] * yr;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const double ai = a[i];
+                    if (ai == 0.0)
+                        continue;
+                    double *g = gram_.rowPtr(i);
+                    for (std::size_t j = i; j < n; ++j)
+                        g[j] += ai * a[j];
+                }
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+                double *t = ht_.rowPtr(i);
+                for (std::size_t r = r0; r < r1; ++r)
+                    t[r] = h.rowPtr(r - r0)[i];
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < i; ++j)
+                gram_(i, j) = gram_(j, i);
         double y_abs_max = 0.0;
         for (double y : ys) {
             yty_ += y * y;
@@ -42,220 +115,352 @@ class SubsetScorer
         // are numerically degenerate: they look perfect on the
         // training points and explode everywhere else.
         weight_cap_ = 1e4 * (y_abs_max + 1.0);
+        pred_.resize(p_);
+        // score() admits at most p - 3 centers (and max_centers); the
+        // final fit may fall back to the root alone.
+        std::size_t cap = std::min(candidates.size(),
+                                   p_ >= 3 ? p_ - 3 : 0);
+        if (max_centers_)
+            cap = std::min(cap, max_centers_);
+        reserve(std::max<std::size_t>(cap, 1));
     }
 
-    /** Number of training points. */
-    std::size_t sampleSize() const { return p_; }
-
-    /** A subset's fitted weights with fit diagnostics. */
-    struct Fit
-    {
-        math::Vector weights;
-        double sse = 0.0;
-        double weight_max = 0.0;
-    };
+    /** Sorted indices of the incumbent subset (empty at first). */
+    const Indices &incumbent() const { return inc_.idx; }
 
     /**
-     * Least-squares fit restricted to subset @p s. The SSE is
-     * computed from the actual residuals (never the y'y - w'H'y
-     * shortcut, which cancels catastrophically when the subset's
-     * Gram matrix is near singular).
+     * Criterion value of subset @p s, or +inf when @p s has too many
+     * centers for the sample or a degenerate fit.
      */
-    Fit
-    fitSubset(const std::vector<std::size_t> &s) const
-    {
-        Fit fit;
-        if (s.empty()) {
-            fit.sse = yty_;
-            return fit;
-        }
-        fit.weights = solveSubset(s);
-        for (double w : fit.weights)
-            fit.weight_max = std::max(fit.weight_max, std::fabs(w));
-        for (std::size_t i = 0; i < p_; ++i) {
-            double pred = 0.0;
-            const double *row = h_.rowPtr(i);
-            for (std::size_t j = 0; j < s.size(); ++j)
-                pred += fit.weights[j] * row[s[j]];
-            const double e = ys_[i] - pred;
-            fit.sse += e * e;
-        }
-        return fit;
-    }
-
-    /** True iff the subset's weights are numerically degenerate. */
-    bool degenerate(const Fit &fit) const
-    {
-        return fit.weight_max > weight_cap_;
-    }
-
-    /** SSE of the least-squares fit restricted to subset @p s. */
     double
-    subsetSse(const std::vector<std::size_t> &s) const
-    {
-        return fitSubset(s).sse;
-    }
-
-    /** Least-squares weights for subset @p s. */
-    math::Vector
-    solveSubset(const std::vector<std::size_t> &s) const
+    score(const Indices &s)
     {
         const std::size_t m = s.size();
-        math::Matrix g(m, m);
-        math::Vector b(m);
-        for (std::size_t i = 0; i < m; ++i) {
-            b[i] = hty_[s[i]];
-            for (std::size_t j = 0; j < m; ++j)
-                g(i, j) = gram_(s[i], s[j]);
-        }
-        auto w = math::choleskySolve(g, b);
-        if (w)
-            return *w;
-        // Nearly collinear bases (e.g. a node and a child covering the
-        // same points); regularize slightly and retry.
-        for (double ridge = 1e-8; ridge <= 1e-2; ridge *= 100.0) {
-            math::Matrix gr = g;
-            for (std::size_t i = 0; i < m; ++i)
-                gr(i, i) += ridge * (1.0 + g(i, i));
-            auto wr = math::choleskySolve(gr, b);
-            if (wr)
-                return *wr;
-        }
-        return math::Vector(m, 0.0);
+        if (max_centers_ && m > max_centers_)
+            return kInf;
+        if (m + 2 >= p_)
+            return kInf;
+        if (solve(s) > weight_cap_)
+            return kInf;
+        return evaluateCriterion(criterion_, p_, m, residualSse(s));
+    }
+
+    /** Keep the subset scored last as the round's best so far. */
+    void hold() { std::swap(cand_, held_); }
+
+    /** Make the held subset the incumbent. */
+    void
+    promote()
+    {
+        // The held subset's leading rows were read from the incumbent.
+        std::copy_n(inc_.rows.begin(), packedRow(held_.shared),
+                    held_.rows.begin());
+        std::swap(inc_, held_);
+    }
+
+    /** Least-squares weights of a subset and their training SSE. */
+    struct Fit
+    {
+        std::span<const double> weights;
+        double sse = 0.0;
+    };
+
+    /** Fit subset @p s; the weights stay valid until the next call. */
+    Fit
+    fit(const Indices &s)
+    {
+        solve(s);
+        return {{weights_.data(), s.size()}, residualSse(s)};
     }
 
   private:
+    /** A subset's packed Cholesky rows and forward-substituted z. */
+    struct Factor
+    {
+        Indices idx;
+        std::vector<double> rows;
+        std::vector<double> z;
+        /** Leading rows that factored without a ridge. */
+        std::size_t clean = 0;
+        /** Leading rows taken from the incumbent when scored. */
+        std::size_t shared = 0;
+    };
+
+    /** Size every buffer for subsets of up to @p m centers. */
+    void
+    reserve(std::size_t m)
+    {
+        if (m <= rowp_.size())
+            return;
+        for (Factor *f : {&inc_, &cand_, &held_, &ridge_}) {
+            f->idx.reserve(m);
+            f->rows.resize(packedRow(m));
+            f->z.resize(m);
+        }
+        rowp_.resize(m);
+        weights_.resize(m);
+    }
+
+    /**
+     * Solve G[S,S] w = (H^T y)[S] into weights_, reusing the rows the
+     * incumbent shares with @p s.
+     *
+     * @return max |w|.
+     */
+    double
+    solve(const Indices &s)
+    {
+        const std::size_t m = s.size();
+        reserve(m);
+        const std::size_t limit =
+            std::min({m, inc_.idx.size(), inc_.clean});
+        std::size_t q = 0;
+        while (q < limit && s[q] == inc_.idx[q])
+            ++q;
+        for (std::size_t i = 0; i < q; ++i)
+            rowp_[i] = inc_.rows.data() + packedRow(i);
+        std::copy_n(inc_.z.begin(), q, cand_.z.begin());
+        cand_.idx.assign(s.begin(), s.end());
+        cand_.shared = q;
+        cand_.clean = factor(s, q, cand_, 0.0);
+        if (cand_.clean == m) {
+            backSubstitute(m, cand_.z);
+        } else {
+            // Nearly collinear bases (e.g. a node and a child covering
+            // the same points); regularize slightly and retry from
+            // scratch. The unridged attempt is known to fail.
+            bool solved = false;
+            for (double ridge = 1e-8; ridge <= 1e-2; ridge *= 100.0) {
+                if (factor(s, 0, ridge_, ridge) == m) {
+                    backSubstitute(m, ridge_.z);
+                    solved = true;
+                    break;
+                }
+            }
+            if (!solved)
+                std::fill_n(weights_.begin(), m, 0.0);
+        }
+        double weight_max = 0.0;
+        for (std::size_t j = 0; j < m; ++j)
+            weight_max = std::max(weight_max, std::fabs(weights_[j]));
+        return weight_max;
+    }
+
+    /**
+     * Compute rows q..m-1 of the Cholesky factor of G[S,S] (plus
+     * ridge * (1 + G(i,i)) on the diagonal) and the matching entries
+     * of z into @p out, in math::cholesky's operation order:
+     * l(i,j) = (G(i,j) - sum_{k<j} l(i,k) l(j,k)) / l(j,j), k
+     * ascending. Rows below q are read through rowp_.
+     *
+     * @return m, or the first row whose diagonal is not positive.
+     */
+    std::size_t
+    factor(const Indices &s, std::size_t q, Factor &out, double ridge)
+    {
+        const std::size_t m = s.size();
+        for (std::size_t i = q; i < m; ++i) {
+            double *li = out.rows.data() + packedRow(i);
+            const double *gi = gram_.rowPtr(s[i]);
+            for (std::size_t j = 0; j < i; ++j) {
+                const double *lj = rowp_[j];
+                double acc = gi[s[j]];
+                for (std::size_t k = 0; k < j; ++k)
+                    acc -= li[k] * lj[k];
+                li[j] = acc / lj[j];
+            }
+            double diag = gi[s[i]];
+            if (ridge > 0.0)
+                diag += ridge * (1.0 + diag);
+            for (std::size_t k = 0; k < i; ++k)
+                diag -= li[k] * li[k];
+            if (diag <= 0.0 || !std::isfinite(diag))
+                return i;
+            li[i] = std::sqrt(diag);
+            rowp_[i] = li;
+            double acc = hty_[s[i]];
+            for (std::size_t k = 0; k < i; ++k)
+                acc -= li[k] * out.z[k];
+            out.z[i] = acc / li[i];
+        }
+        return m;
+    }
+
+    /** Solve L^T w = z into weights_ with the rows in rowp_. */
+    void
+    backSubstitute(std::size_t m, const std::vector<double> &z)
+    {
+        for (std::size_t ii = m; ii-- > 0;) {
+            double acc = z[ii];
+            for (std::size_t k = ii + 1; k < m; ++k)
+                acc -= rowp_[k][ii] * weights_[k];
+            weights_[ii] = acc / rowp_[ii][ii];
+        }
+    }
+
+    /**
+     * Residual SSE of weights_ on subset @p s: per point, the sum over
+     * centers in order; then the squared errors in point order.
+     */
+    double
+    residualSse(const Indices &s)
+    {
+        if (s.empty())
+            return yty_;
+        std::fill(pred_.begin(), pred_.end(), 0.0);
+        double *pred = pred_.data();
+        for (std::size_t j = 0; j < s.size(); ++j) {
+            const double w = weights_[j];
+            const double *col = ht_.rowPtr(s[j]);
+            for (std::size_t i = 0; i < p_; ++i)
+                pred[i] += w * col[i];
+        }
+        double sse = 0.0;
+        for (std::size_t i = 0; i < p_; ++i) {
+            const double e = ys_[i] - pred[i];
+            sse += e * e;
+        }
+        return sse;
+    }
+
     std::size_t p_;
-    math::Matrix h_;
     std::vector<double> ys_;
+    Criterion criterion_;
+    std::size_t max_centers_;
+    /** Design matrix H transposed: one row per candidate. */
+    math::Matrix ht_;
     math::Matrix gram_;
     math::Vector hty_;
     double yty_ = 0.0;
     double weight_cap_ = 1e12;
+
+    Factor inc_;
+    Factor cand_;
+    Factor held_;
+    /** Scratch for the from-scratch ridge attempts. */
+    Factor ridge_;
+    /** Row i of the factor being solved. */
+    std::vector<const double *> rowp_;
+    std::vector<double> weights_;
+    std::vector<double> pred_;
 };
-
-/** Indices currently flagged as selected. */
-std::vector<std::size_t>
-selectedIndices(const std::vector<bool> &flags)
-{
-    std::vector<std::size_t> s;
-    for (std::size_t i = 0; i < flags.size(); ++i)
-        if (flags[i])
-            s.push_back(i);
-    return s;
-}
-
-double
-scoreFlags(const SubsetScorer &scorer, const std::vector<bool> &flags,
-           Criterion criterion, std::size_t max_centers)
-{
-    const auto s = selectedIndices(flags);
-    if (max_centers && s.size() > max_centers)
-        return kInf;
-    if (s.size() + 2 >= scorer.sampleSize())
-        return kInf;
-    const auto fit = scorer.fitSubset(s);
-    if (scorer.degenerate(fit))
-        return kInf;
-    return evaluateCriterion(criterion, scorer.sampleSize(), s.size(),
-                             fit.sse);
-}
 
 /**
  * The paper's tree-ordered selection: walk internal nodes breadth
  * first; at each, jointly re-decide the inclusion of the node and its
- * two children among all 8 combinations.
+ * two children among all 8 combinations. Leaves the selection as the
+ * scorer's incumbent.
  */
-std::vector<bool>
-treeOrderedSelect(const SubsetScorer &scorer,
-                  const std::vector<tree::NodeInfo> &nodes,
-                  const RbfRtOptions &options)
+void
+treeOrderedSelect(SubsetScorer &scorer,
+                  const std::vector<tree::NodeInfo> &nodes)
 {
-    std::vector<bool> flags(nodes.size(), false);
     // Start from the root center (paper Sec 2.5).
-    flags[0] = true;
-    double best = scoreFlags(scorer, flags, options.criterion,
-                             options.max_centers);
+    Indices trial{0};
+    double best = scorer.score(trial);
     if (!std::isfinite(best)) {
         // Sample too small for even a one-center model under the
-        // criterion guard; keep just the root.
-        return flags;
+        // criterion guard; the caller keeps just the root.
+        return;
     }
+    scorer.hold();
+    scorer.promote();
 
+    // The incumbent without the node and its children.
+    Indices rest;
+    rest.reserve(nodes.size());
+    trial.reserve(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const auto &node = nodes[i];
         if (node.is_leaf)
             continue;
-        const std::size_t l = node.left_child;
-        const std::size_t r = node.right_child;
-        assert(l < nodes.size() && r < nodes.size());
+        const std::size_t picks[3] = {i, node.left_child,
+                                      node.right_child};
+        // Breadth-first order: children follow every selected index,
+        // so combinations that keep the node's flag share all but the
+        // trailing rows of the incumbent's factor.
+        assert(picks[0] < picks[1] && picks[1] < picks[2] &&
+               picks[2] < nodes.size());
 
-        const bool orig_i = flags[i];
-        const bool orig_l = flags[l];
-        const bool orig_r = flags[r];
+        std::uint8_t own = 0;
+        rest.clear();
+        for (std::size_t k : scorer.incumbent()) {
+            const auto at = std::find(picks, picks + 3, k) - picks;
+            if (at < 3)
+                own |= 1 << at;
+            else
+                rest.push_back(k);
+        }
 
-        std::uint8_t best_combo = 0xff;
+        bool improved = false;
         double combo_best = best;
         for (std::uint8_t combo = 0; combo < 8; ++combo) {
-            flags[i] = combo & 1;
-            flags[l] = combo & 2;
-            flags[r] = combo & 4;
-            const double score = scoreFlags(
-                scorer, flags, options.criterion, options.max_centers);
+            // The incumbent's own combination scores exactly `best`,
+            // which never beats combo_best.
+            if (combo == own)
+                continue;
+            trial.clear();
+            auto from = rest.cbegin();
+            for (int b = 0; b < 3; ++b) {
+                if (!(combo >> b & 1))
+                    continue;
+                const auto to =
+                    std::lower_bound(from, rest.cend(), picks[b]);
+                trial.insert(trial.end(), from, to);
+                trial.push_back(picks[b]);
+                from = to;
+            }
+            trial.insert(trial.end(), from, rest.cend());
+            const double score = scorer.score(trial);
             if (score < combo_best) {
                 combo_best = score;
-                best_combo = combo;
+                improved = true;
+                scorer.hold();
             }
         }
-        if (best_combo == 0xff) {
-            // No combination strictly beats the incumbent (whose own
-            // combo scored exactly `best` in the loop); keep it.
-            flags[i] = orig_i;
-            flags[l] = orig_l;
-            flags[r] = orig_r;
-        } else {
-            flags[i] = best_combo & 1;
-            flags[l] = best_combo & 2;
-            flags[r] = best_combo & 4;
+        if (improved) {
+            scorer.promote();
             best = combo_best;
         }
     }
-    if (selectedIndices(flags).empty())
-        flags[0] = true;
-    return flags;
 }
 
-/** Greedy forward selection over all candidates (ablation). */
-std::vector<bool>
-greedySelect(const SubsetScorer &scorer,
-             const std::vector<tree::NodeInfo> &nodes,
-             const RbfRtOptions &options)
+/**
+ * Greedy forward selection over all candidates (ablation). Leaves the
+ * selection as the scorer's incumbent.
+ */
+void
+greedySelect(SubsetScorer &scorer, std::size_t candidates)
 {
-    std::vector<bool> flags(nodes.size(), false);
+    Indices trial;
+    trial.reserve(candidates);
     double best = kInf;
     for (;;) {
-        std::size_t best_add = tree::NodeInfo::npos;
+        const Indices &inc = scorer.incumbent();
+        bool improved = false;
         double round_best = best;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            if (flags[i])
+        auto at = inc.cbegin();
+        for (std::size_t i = 0; i < candidates; ++i) {
+            // `at` is i's sorted position in the incumbent.
+            while (at != inc.cend() && *at < i)
+                ++at;
+            if (at != inc.cend() && *at == i)
                 continue;
-            flags[i] = true;
-            const double score = scoreFlags(
-                scorer, flags, options.criterion, options.max_centers);
-            flags[i] = false;
+            trial.assign(inc.cbegin(), at);
+            trial.push_back(i);
+            trial.insert(trial.end(), at, inc.cend());
+            const double score = scorer.score(trial);
             if (score < round_best) {
                 round_best = score;
-                best_add = i;
+                improved = true;
+                scorer.hold();
             }
         }
-        if (best_add == tree::NodeInfo::npos)
+        if (!improved)
             break;
-        flags[best_add] = true;
+        scorer.promote();
         best = round_best;
     }
-    if (selectedIndices(flags).empty())
-        flags[0] = true;
-    return flags;
 }
 
 } // namespace
@@ -295,14 +500,16 @@ buildRbfFromTree(const tree::RegressionTree &tree,
     const auto nodes = tree.nodes();
     const auto candidates =
         candidateBases(nodes, options.alpha, options.min_radius);
-    const SubsetScorer scorer(candidates, xs, ys);
+    SubsetScorer scorer(candidates, xs, ys, options);
 
-    const std::vector<bool> flags =
-        options.selection == Selection::TreeOrdered
-            ? treeOrderedSelect(scorer, nodes, options)
-            : greedySelect(scorer, nodes, options);
+    if (options.selection == Selection::TreeOrdered)
+        treeOrderedSelect(scorer, nodes);
+    else
+        greedySelect(scorer, nodes.size());
 
-    const auto selected = selectedIndices(flags);
+    Indices selected = scorer.incumbent();
+    if (selected.empty())
+        selected.push_back(0);
     std::vector<GaussianBasis> bases;
     bases.reserve(selected.size());
     for (std::size_t i : selected)
@@ -310,10 +517,10 @@ buildRbfFromTree(const tree::RegressionTree &tree,
 
     RbfRtResult result;
     result.num_candidates = candidates.size();
-    const auto weights = scorer.solveSubset(selected);
-    result.network = RbfNetwork(std::move(bases),
-                                {weights.begin(), weights.end()});
-    result.train_sse = scorer.subsetSse(selected);
+    const auto fit = scorer.fit(selected);
+    result.network = RbfNetwork(
+        std::move(bases), {fit.weights.begin(), fit.weights.end()});
+    result.train_sse = fit.sse;
     result.criterion_value = evaluateCriterion(
         options.criterion, xs.size(), selected.size(), result.train_sse);
     return result;

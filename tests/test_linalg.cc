@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the linear solvers: Cholesky, Gaussian elimination,
- * Householder QR, and the least-squares front end with ridge fallback.
+ * Unit tests for the linear solvers: Cholesky, Householder QR, and the
+ * least-squares front end with ridge fallback.
  */
 
 #include <gtest/gtest.h>
@@ -71,33 +71,6 @@ TEST(Cholesky, SolveLargeRandomSpd)
     ASSERT_TRUE(x.has_value());
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR((*x)[i], x_true[i], 1e-8);
-}
-
-TEST(GaussSolve, KnownSystem)
-{
-    Matrix a{{2, 1}, {1, 3}};
-    Vector b{5, 10};
-    auto x = gaussSolve(a, b);
-    ASSERT_TRUE(x.has_value());
-    EXPECT_NEAR((*x)[0], 1.0, 1e-12);
-    EXPECT_NEAR((*x)[1], 3.0, 1e-12);
-}
-
-TEST(GaussSolve, NeedsPivoting)
-{
-    // Leading zero forces a row swap.
-    Matrix a{{0, 1}, {1, 0}};
-    Vector b{2, 3};
-    auto x = gaussSolve(a, b);
-    ASSERT_TRUE(x.has_value());
-    EXPECT_NEAR((*x)[0], 3.0, 1e-12);
-    EXPECT_NEAR((*x)[1], 2.0, 1e-12);
-}
-
-TEST(GaussSolve, SingularReturnsNullopt)
-{
-    Matrix a{{1, 2}, {2, 4}};
-    EXPECT_FALSE(gaussSolve(a, {1, 2}).has_value());
 }
 
 TEST(QrSolve, ExactSquareSystem)
