@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include "bench_util.hh"
-#include "cache/baseline.hh"
 #include "cache/result_cache.hh"
 #include "core/evaluator.hh"
 #include "core/oracle.hh"
@@ -710,18 +709,17 @@ BM_PoolDispatch(benchmark::State &state)
 BENCHMARK(BM_PoolDispatch)->ArgNames({"grain"})
     ->Arg(1)->Arg(0)->UseRealTime();
 
-// --- result cache vs. the mutex-map baseline -------------------------
+// --- result cache ----------------------------------------------------
 //
-// The serving claim behind src/cache/: a point lookup must run at
-// memory speed and scale with readers, where the old design — one
-// mutex around an ordered map — serializes every probe and pays a
-// full lexicographic key compare per tree level. Keys mirror oracle
-// keys: a context word plus the paper's 9-word fixed-point design point.
+// Per-operation cost of cache::ResultCache at a size no workload
+// reaches (600K entries; a Table 3 build holds ~750). Keys mirror
+// oracle keys: a context word plus the paper's 9-word fixed-point
+// design point.
 
 constexpr std::size_t kCacheBenchEntries = 600000;
 constexpr std::size_t kCacheBenchKeyWords = 10;
 
-/** Deterministic 13-word key for index @p i, written into @p key. */
+/** Deterministic 10-word key for index @p i, written into @p key. */
 void
 benchKeyFor(std::uint64_t i, cache::ResultCache::Key &key)
 {
@@ -737,7 +735,6 @@ cacheBenchConfig(std::size_t budget_bytes)
     cache::CacheConfig config;
     config.key_words = kCacheBenchKeyWords;
     config.budget_bytes = budget_bytes;
-    config.shards = 8;
     return config;
 }
 
@@ -745,11 +742,8 @@ cache::ResultCache &
 prefilledResultCache()
 {
     // ResultCache is neither copyable nor movable: construct in
-    // place and fill once.
-    // Sized for a light load factor (~0.25): a serving cache is run
-    // with budget headroom, which keeps probes inside the first cell
-    // of each group.
-    static cache::ResultCache table(cacheBenchConfig(128u << 20));
+    // place and fill once. The budget holds every entry.
+    static cache::ResultCache table(cacheBenchConfig(160u << 20));
     static const bool filled = [] {
         cache::ResultCache::Key key;
         for (std::uint64_t i = 0; i < kCacheBenchEntries; ++i) {
@@ -762,26 +756,9 @@ prefilledResultCache()
     return table;
 }
 
-cache::MutexMapCache &
-prefilledMutexMap()
-{
-    static cache::MutexMapCache map;
-    static const bool filled = [] {
-        cache::ResultCache::Key key;
-        for (std::uint64_t i = 0; i < kCacheBenchEntries; ++i) {
-            benchKeyFor(i, key);
-            map.insert(key, static_cast<double>(i) * 0.5);
-        }
-        return true;
-    }();
-    (void)filled;
-    return map;
-}
-
 /**
  * Point lookups at a controlled hit ratio (arg = hits per 100
- * probes), across reader counts. The concurrent table's reads are
- * lock-free seqlock-certified probes of one 256-byte group.
+ * probes), across reader counts.
  */
 void
 BM_CacheLookup(benchmark::State &state)
@@ -810,118 +787,9 @@ BENCHMARK(BM_CacheLookup)->ArgNames({"hit_pct"})
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime();
 
-/** The same probe stream against the mutex-map baseline. */
-void
-BM_MutexMapLookup(benchmark::State &state)
-{
-    cache::MutexMapCache &map = prefilledMutexMap();
-    const auto span =
-        static_cast<std::uint64_t>(100 / state.range(0)) *
-        kCacheBenchEntries;
-    std::uint64_t rng = 0x9E3779B97F4A7C15ULL +
-                        static_cast<std::uint64_t>(state.thread_index());
-    cache::ResultCache::Key key;
-    std::uint64_t hits = 0;
-    for (auto _ : state) {
-        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-        benchKeyFor((rng >> 24) % span, key);
-        double value = 0.0;
-        hits += map.lookup(key, &value);
-        benchmark::DoNotOptimize(value);
-    }
-    benchmark::DoNotOptimize(hits);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MutexMapLookup)->ArgNames({"hit_pct"})
-    ->Arg(100)->Arg(50)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-constexpr std::size_t kCacheBenchBatch = 64;
-
 /**
- * The serving hot path: batched lookups, the access pattern of every
- * oracle batch. lookupBatch() hashes and prefetches a window of keys
- * ahead of the probes, so per-key cost is bounded by memory-level
- * parallelism instead of serialized miss latency.
- */
-void
-BM_CacheLookupBatch(benchmark::State &state)
-{
-    cache::ResultCache &table = prefilledResultCache();
-    const auto span =
-        static_cast<std::uint64_t>(100 / state.range(0)) *
-        kCacheBenchEntries;
-    std::uint64_t rng = 0x9E3779B97F4A7C15ULL +
-                        static_cast<std::uint64_t>(state.thread_index());
-    std::vector<cache::ResultCache::Key> keys(kCacheBenchBatch);
-    double values[kCacheBenchBatch];
-    bool found[kCacheBenchBatch];
-    std::uint64_t hits = 0;
-    for (auto _ : state) {
-        for (auto &key : keys) {
-            rng = rng * 6364136223846793005ULL +
-                  1442695040888963407ULL;
-            benchKeyFor((rng >> 24) % span, key);
-        }
-        hits += table.lookupBatch(keys.data(), keys.size(), values,
-                                  found);
-        benchmark::DoNotOptimize(values[0]);
-    }
-    benchmark::DoNotOptimize(hits);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(kCacheBenchBatch));
-}
-BENCHMARK(BM_CacheLookupBatch)->ArgNames({"hit_pct"})
-    ->Arg(100)->Arg(50)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-/**
- * The same batched probe stream against the mutex-map baseline, in
- * its best case: one lock acquisition amortized over the whole
- * batch. The tree walk itself cannot be pipelined, which is the
- * structural gap this sweep quantifies.
- */
-void
-BM_MutexMapLookupBatch(benchmark::State &state)
-{
-    cache::MutexMapCache &map = prefilledMutexMap();
-    const auto span =
-        static_cast<std::uint64_t>(100 / state.range(0)) *
-        kCacheBenchEntries;
-    std::uint64_t rng = 0x9E3779B97F4A7C15ULL +
-                        static_cast<std::uint64_t>(state.thread_index());
-    std::vector<cache::ResultCache::Key> keys(kCacheBenchBatch);
-    double values[kCacheBenchBatch];
-    bool found[kCacheBenchBatch];
-    std::uint64_t hits = 0;
-    for (auto _ : state) {
-        for (auto &key : keys) {
-            rng = rng * 6364136223846793005ULL +
-                  1442695040888963407ULL;
-            benchKeyFor((rng >> 24) % span, key);
-        }
-        hits += map.lookupBatch(keys.data(), keys.size(), values,
-                                found);
-        benchmark::DoNotOptimize(values[0]);
-    }
-    benchmark::DoNotOptimize(hits);
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(kCacheBenchBatch));
-}
-BENCHMARK(BM_MutexMapLookupBatch)->ArgNames({"hit_pct"})
-    ->Arg(100)->Arg(50)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-/**
- * Insert throughput at eviction steady state: the budgeted table
- * recycles slots via the clock sweep; the baseline map grows without
- * bound and re-balances.
+ * Insert throughput at eviction steady state: every insert into the
+ * full table evicts through the second-chance sweep.
  */
 void
 BM_CacheInsert(benchmark::State &state)
@@ -938,25 +806,6 @@ BM_CacheInsert(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CacheInsert)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-/** The same insert stream against the mutex-map baseline. */
-void
-BM_MutexMapInsert(benchmark::State &state)
-{
-    static cache::MutexMapCache map;
-    std::uint64_t i =
-        static_cast<std::uint64_t>(state.thread_index()) << 40;
-    cache::ResultCache::Key key;
-    for (auto _ : state) {
-        benchKeyFor(i++, key);
-        map.insert(key, static_cast<double>(i) * 0.25);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MutexMapInsert)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime();
 

@@ -2,92 +2,24 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
-#include <new>
 #include <stdexcept>
-#include <thread>
-#include <type_traits>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "obs/trace_span.hh"
-#include "util/thread_pool.hh"
 
 namespace ppm::cache {
 
 namespace {
 
-/** splitmix64 finalizer: the avalanche stage of the key hash. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-/** Polite spin: PAUSE a while, then yield the (possibly only) core. */
-inline void
-cpuRelax(unsigned &spins)
-{
-    if (++spins >= 64) {
-        std::this_thread::yield();
-        spins = 0;
-        return;
-    }
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-}
-
 /**
- * Acquire the cell's writer spinlock: CAS the seqlock word from even
- * to odd. Returns the odd value to pass to unlockCell.
+ * Heap bytes glibc malloc spends on a request of @p n bytes: the
+ * request plus one size word, rounded up to 16 bytes, at least 32.
  */
-std::uint64_t
-lockCell(Cell &cell)
+constexpr std::size_t
+heapChunk(std::size_t n)
 {
-    unsigned spins = 0;
-    for (;;) {
-        std::uint64_t v = cell.version.load(std::memory_order_relaxed);
-        if ((v & 1) == 0 &&
-            cell.version.compare_exchange_weak(
-                v, v + 1, std::memory_order_acquire,
-                std::memory_order_relaxed))
-            return v + 1;
-        cpuRelax(spins);
-    }
-}
-
-void
-unlockCell(Cell &cell, std::uint64_t locked)
-{
-    cell.version.store(locked + 1, std::memory_order_release);
-}
-
-/** Canonicalise a value's bit pattern away from the pending sentinel. */
-std::uint64_t
-valueBits(double value)
-{
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
-    return bits == kPendingBits ? kNanBits : bits;
-}
-
-std::size_t
-parseEnvSize(const char *name)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr)
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        return 0;
-    return static_cast<std::size_t>(v);
+    return std::max<std::size_t>(32,
+                                 (n + sizeof(std::size_t) + 15) / 16 * 16);
 }
 
 } // namespace
@@ -95,62 +27,14 @@ parseEnvSize(const char *name)
 std::size_t
 budgetBytesFromEnv(std::size_t fallback_mb)
 {
-    const std::size_t mb = parseEnvSize("PPM_CACHE_MB");
-    return (mb != 0 ? mb : fallback_mb) * 1024 * 1024;
-}
-
-unsigned
-shardsFromEnv()
-{
-    return static_cast<unsigned>(parseEnvSize("PPM_CACHE_SHARDS"));
-}
-
-void
-PageAlignedDelete::operator()(void *p) const noexcept
-{
-#if defined(__linux__)
-    if (map_bytes != 0) {
-        ::munmap(p, map_bytes);
-        return;
+    std::size_t mb = fallback_mb;
+    if (const char *env = std::getenv("PPM_CACHE_MB")) {
+        char *end = nullptr;
+        const long v = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && v > 0)
+            mb = static_cast<std::size_t>(v);
     }
-#endif
-    ::operator delete[](p, std::align_val_t{4096});
-}
-
-ResultCache::PageArray<std::byte>
-ResultCache::hugeBytes(std::size_t bytes)
-{
-    static_assert(std::is_trivially_destructible_v<Cell> &&
-                      std::is_trivially_destructible_v<
-                          std::atomic<std::int64_t>>,
-                  "PageAlignedDelete skips destructors");
-#if defined(__linux__)
-    // Preferred arena: explicit 2 MiB hugetlb pages, when the host
-    // has a pool configured (vm.nr_hugepages). A multi-MB table then
-    // occupies a few dozen TLB entries instead of thousands, which
-    // matters twice over: probes stop paying a page walk per touch,
-    // and the probe-ahead prefetches stop being silently dropped
-    // (x86 drops prefetches whose translation misses the TLB).
-    // Reservation happens at mmap time, so success here cannot
-    // SIGBUS later; failure (no pool, pool exhausted) falls through.
-    constexpr std::size_t kHuge = std::size_t{2} << 20;
-    const std::size_t rounded = (bytes + kHuge - 1) & ~(kHuge - 1);
-    void *map = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-    if (map != MAP_FAILED) {
-        PageArray<std::byte> arena(static_cast<std::byte *>(map));
-        arena.get_deleter().map_bytes = rounded;
-        return arena;
-    }
-#endif
-    void *raw = ::operator new[](bytes, std::align_val_t{4096});
-#if defined(__linux__)
-    // Advise before first touch so the constructor's initialization
-    // pass can fault 2 MiB mappings in directly under the THP
-    // "madvise" policy.
-    ::madvise(raw, bytes, MADV_HUGEPAGE);
-#endif
-    return PageArray<std::byte>(static_cast<std::byte *>(raw));
+    return mb * 1024 * 1024;
 }
 
 ResultCache::ResultCache(const CacheConfig &config)
@@ -159,482 +43,116 @@ ResultCache::ResultCache(const CacheConfig &config)
     if (key_words_ == 0)
         throw std::invalid_argument(
             "ResultCache: key_words must be positive");
-
+    // One entry allocates three blocks: the map node (at most four
+    // words of tree links ahead of the key's vector header and the
+    // Entry), the key's words, and the clock's list node (two links
+    // and the slot pointer). test_result_cache checks the sum against
+    // the allocator's own count.
+    entry_bytes_ = heapChunk(4 * sizeof(void *) + sizeof(Slot)) +
+                   heapChunk(key_words_ * sizeof(std::int64_t)) +
+                   heapChunk(3 * sizeof(void *));
     const std::size_t budget = config.budget_bytes != 0
                                    ? config.budget_bytes
                                    : budgetBytesFromEnv();
-    unsigned shards =
-        config.shards != 0 ? config.shards : shardsFromEnv();
-    if (shards == 0) {
-        // Auto: the next power of two covering the thread count,
-        // clamped — shards only spread the dedup condition variables
-        // and hash ranges, so a few go a long way.
-        shards = 1;
-        while (shards < util::configuredThreads() && shards < 16)
-            shards *= 2;
-    }
-
-    const std::size_t per_cell =
-        sizeof(Cell) + kCellSlots * key_words_ * sizeof(std::int64_t);
-    const std::size_t per_group = kGroupCells * per_cell;
-    group_bytes_ = per_group; // cells block then key block, per group
-    std::size_t total_groups = budget / per_group;
-    if (total_groups == 0)
-        total_groups = 1; // floor: the budget never rounds to nothing
-    if (shards > total_groups)
-        shards = static_cast<unsigned>(total_groups);
-    const std::size_t groups_per_shard = total_groups / shards;
-
-    shards_.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i) {
-        auto shard = std::make_unique<Shard>();
-        shard->num_groups = groups_per_shard;
-        shard->arena = hugeBytes(groups_per_shard * group_bytes_);
-        const std::size_t cells = groups_per_shard * kGroupCells;
-        for (std::size_t c = 0; c < cells; ++c) {
-            new (&cellAt(*shard, c)) Cell();
-            for (unsigned slot = 0; slot < kCellSlots; ++slot) {
-                std::atomic<std::int64_t> *words =
-                    slotKey(*shard, c, slot);
-                for (std::size_t w = 0; w < key_words_; ++w)
-                    new (words + w) std::atomic<std::int64_t>(0);
-            }
-        }
-        shards_.push_back(std::move(shard));
-    }
-    capacity_slots_ =
-        shards * groups_per_shard * kGroupCells * kCellSlots;
-    footprint_bytes_ = shards * groups_per_shard * per_group;
-}
-
-ResultCache::Ref
-ResultCache::refFor(const Key &key) const
-{
-    // Multiply-xor accumulation (one xor + one odd-constant multiply
-    // per word, each a bijection) over two parallel lanes keeps the
-    // dependent chain at ~2 cycles/word on the lookup fast path; the
-    // splitmix64 finalizer supplies the avalanche so the lattice
-    // structure of design-point keys cannot bias shard/tag/group
-    // selection.
-    const std::size_t n = key.size();
-    std::uint64_t a =
-        0x9E3779B97F4A7C15ULL ^ (n * 0x2545F4914F6CDD1DULL);
-    std::uint64_t b = 0x6A09E667F3BCC909ULL;
-    std::size_t i = 0;
-    for (; i + 1 < n; i += 2) {
-        a = (a ^ static_cast<std::uint64_t>(key[i])) *
-            0x9DDFEA08EB382D69ULL;
-        b = (b ^ static_cast<std::uint64_t>(key[i + 1])) *
-            0xC2B2AE3D27D4EB4FULL;
-    }
-    if (i < n)
-        a = (a ^ static_cast<std::uint64_t>(key[i])) *
-            0x9DDFEA08EB382D69ULL;
-    const std::uint64_t h =
-        mix64(a ^ (b >> 32) ^ (b << 32));
-    Ref ref;
-    // Disjoint hash fields: shard from bits 58.., tag from 51..57,
-    // group position from the low 51 bits.
-    ref.shard = shards_[(h >> 58) % shards_.size()].get();
-    ref.tag = (h >> 51) & meta::kTagMask;
-    ref.group = (h & 0x0007'FFFF'FFFF'FFFFULL) % ref.shard->num_groups;
-    return ref;
-}
-
-Cell &
-ResultCache::cellAt(const Shard &s, std::size_t cell) const
-{
-    std::byte *group =
-        s.arena.get() + (cell / kGroupCells) * group_bytes_;
-    return *reinterpret_cast<Cell *>(
-        group + (cell % kGroupCells) * sizeof(Cell));
-}
-
-std::atomic<std::int64_t> *
-ResultCache::slotKey(const Shard &s, std::size_t cell,
-                     unsigned slot) const
-{
-    std::byte *group =
-        s.arena.get() + (cell / kGroupCells) * group_bytes_;
-    return reinterpret_cast<std::atomic<std::int64_t> *>(
-               group + kGroupCells * sizeof(Cell)) +
-           ((cell % kGroupCells) * kCellSlots + slot) * key_words_;
-}
-
-bool
-ResultCache::keyEquals(const Shard &s, std::size_t cell, unsigned slot,
-                       const Key &key) const
-{
-    const std::atomic<std::int64_t> *words =
-        slotKey(s, cell, slot);
-    for (std::size_t w = 0; w < key_words_; ++w)
-        if (words[w].load(std::memory_order_relaxed) != key[w])
-            return false;
-    return true;
+    capacity_ = budget / entry_bytes_;
 }
 
 void
-ResultCache::writeKey(Shard &s, std::size_t cell, unsigned slot,
-                      const Key &key)
-{
-    std::atomic<std::int64_t> *words = slotKey(s, cell, slot);
-    for (std::size_t w = 0; w < key_words_; ++w)
-        words[w].store(key[w], std::memory_order_relaxed);
-}
-
-ResultCache::Ref
-ResultCache::prefetchRef(const Key &key) const
+ResultCache::checkWidth(const Key &key) const
 {
     if (key.size() != key_words_)
         throw std::invalid_argument("ResultCache: key width mismatch");
-    const Ref ref = refFor(key);
-    // Overlap the dependent fetches of the common case — cell 0's
-    // metadata line and the first lines of its slot keys (cells fill
-    // lowest-first, so most hits land there) — instead of paying
-    // serialized cache misses. The group block co-locates all three
-    // lines, so this usually touches a single page.
-    const std::size_t base = ref.group * kGroupCells;
-    __builtin_prefetch(&cellAt(*ref.shard, base), 0, 3);
-    __builtin_prefetch(slotKey(*ref.shard, base, 0), 0, 3);
-    __builtin_prefetch(slotKey(*ref.shard, base, 1), 0, 3);
-    return ref;
 }
 
-ResultCache::Probe
-ResultCache::probe(const Ref &ref, const Key &key, double *out) const
+bool
+ResultCache::evictOne(std::vector<Spilled> &spilled)
 {
-    Shard &s = *ref.shard;
-    const std::size_t base = ref.group * kGroupCells;
-    for (std::size_t ci = 0; ci < kGroupCells; ++ci) {
-        Cell &cell = cellAt(s, base + ci);
-        unsigned spins = 0;
-        for (;;) {
-            // Seqlock read: odd means a writer is mutating the cell.
-            const std::uint64_t v1 =
-                cell.version.load(std::memory_order_acquire);
-            if (v1 & 1) {
-                cpuRelax(spins);
-                continue;
+    // Second chance over insertion order: a referenced entry loses its
+    // bit and moves to the back; the oldest settled, unreferenced
+    // entry is the victim. Two rounds either find one or prove that
+    // every entry is in flight.
+    for (std::size_t steps = 2 * clock_.size(); steps != 0; --steps) {
+        Slot *oldest = clock_.front();
+        Entry &entry = oldest->second;
+        if (!entry.pending && !entry.referenced) {
+            if (entry.dirty) {
+                if (auto store = storeFor(oldest->first.front()))
+                    spilled.push_back(
+                        {std::move(store), oldest->first, entry.value});
             }
-            const std::uint64_t m =
-                cell.meta.load(std::memory_order_acquire);
-            bool retry = false;
-            for (unsigned slot = 0; slot < kCellSlots; ++slot) {
-                if (!meta::occupied(m, slot) ||
-                    meta::tag(m, slot) != ref.tag ||
-                    !keyEquals(s, base + ci, slot, key))
-                    continue;
-                const std::uint64_t bits =
-                    cell.vals[slot].load(std::memory_order_acquire);
-                // Certify the (meta, key, value) snapshot: no slot
-                // mutation may have intervened. The fence orders the
-                // data loads above before the version re-read.
-                std::atomic_thread_fence(std::memory_order_acquire);
-                if (cell.version.load(std::memory_order_relaxed) !=
-                    v1) {
-                    retry = true;
-                    break;
-                }
-                if (bits == kPendingBits)
-                    return Probe::Pending;
-                // Second-chance reference bit: one relaxed RMW,
-                // skipped once set so hot keys settle to pure loads.
-                if (!meta::refSet(m, slot))
-                    cell.meta.fetch_or(meta::refBit(slot),
-                                       std::memory_order_relaxed);
-                *out = std::bit_cast<double>(bits);
-                return Probe::Value;
-            }
-            if (!retry)
-                break; // clean scan, no match in this cell
-            cpuRelax(spins);
+            erase(oldest);
+            evictions_.add(1);
+            OBS_STATIC_COUNTER(evict_counter, "cache.evict");
+            OBS_ADD(evict_counter, 1);
+            return true;
         }
+        entry.referenced = false;
+        clock_.splice(clock_.end(), clock_, clock_.begin());
     }
-    return Probe::Miss;
+    return false;
 }
 
-ResultCache::Claim
-ResultCache::claimSlot(const Ref &ref, const Key &key,
-                       std::uint64_t value_bits, bool dirty,
-                       double *out, Ticket *ticket,
-                       std::vector<Spilled> *spilled)
+ResultCache::Slot *
+ResultCache::place(const Key &key, std::vector<Spilled> &spilled)
 {
-    Shard &s = *ref.shard;
-    const std::size_t base = ref.group * kGroupCells;
-    Cell &lead = cellAt(s, base);
-    // The group's lead cell doubles as the group insert lock: every
-    // membership change (claim, direct insert, eviction, release)
-    // happens under it, so the rescan below decides key presence
-    // authoritatively.
-    const std::uint64_t lead_locked = lockCell(lead);
-
-    bool have_free = false;
-    std::size_t free_ci = 0;
-    unsigned free_slot = 0;
-    for (std::size_t ci = 0; ci < kGroupCells; ++ci) {
-        Cell &cell = cellAt(s, base + ci);
-        const std::uint64_t m =
-            cell.meta.load(std::memory_order_relaxed);
-        for (unsigned slot = 0; slot < kCellSlots; ++slot) {
-            if (!meta::occupied(m, slot)) {
-                if (!have_free) {
-                    have_free = true;
-                    free_ci = ci;
-                    free_slot = slot;
-                }
-                continue;
-            }
-            if (meta::tag(m, slot) != ref.tag ||
-                !keyEquals(s, base + ci, slot, key))
-                continue;
-            const std::uint64_t bits =
-                cell.vals[slot].load(std::memory_order_acquire);
-            if (bits == kPendingBits) {
-                unlockCell(lead, lead_locked);
-                return Claim::Pending;
-            }
-            // Published entry. A direct clean insert upgrades a
-            // dirty twin: the caller vouches the value is durable.
-            if (value_bits != kPendingBits && !dirty &&
-                meta::dirty(m, slot))
-                cell.meta.fetch_and(~meta::dirtyBit(slot),
-                                    std::memory_order_relaxed);
-            *out = std::bit_cast<double>(bits);
-            unlockCell(lead, lead_locked);
-            return Claim::Hit;
-        }
-    }
-
-    std::size_t target_ci = free_ci;
-    unsigned target_slot = free_slot;
-    if (!have_free) {
-        // Second-chance (clock) victim search over the group. Pass 1
-        // spends reference bits; pass 2 takes the first spent,
-        // non-pending slot. Pending slots are never evicted — their
-        // owner holds a ticket to them.
-        bool have_victim = false;
-        for (int pass = 0; pass < 2 && !have_victim; ++pass) {
-            for (std::size_t ci = 0;
-                 ci < kGroupCells && !have_victim; ++ci) {
-                Cell &cell = cellAt(s, base + ci);
-                const std::uint64_t m =
-                    cell.meta.load(std::memory_order_relaxed);
-                for (unsigned slot = 0; slot < kCellSlots; ++slot) {
-                    if (!meta::occupied(m, slot))
-                        continue;
-                    if (cell.vals[slot].load(
-                            std::memory_order_relaxed) ==
-                        kPendingBits)
-                        continue;
-                    if (meta::refSet(
-                            cell.meta.load(std::memory_order_relaxed),
-                            slot)) {
-                        cell.meta.fetch_and(~meta::refBit(slot),
-                                            std::memory_order_relaxed);
-                        continue;
-                    }
-                    target_ci = ci;
-                    target_slot = slot;
-                    have_victim = true;
-                    break;
-                }
-            }
-        }
-        if (!have_victim) {
-            // Every slot of the group carries an in-flight
-            // computation: nothing can be placed or displaced.
-            unlockCell(lead, lead_locked);
-            return Claim::Saturated;
-        }
-
-        // Evict: copy the entry out (stable under the lead lock —
-        // only pending→value publishes can race, and the victim is
-        // not pending), then clear the slot under its cell lock so
-        // lock-free readers re-certify. The spill itself runs after
-        // every lock is released.
-        Cell &vcell = cellAt(s, base + target_ci);
-        const std::uint64_t vm =
-            vcell.meta.load(std::memory_order_relaxed);
-        Spilled entry;
-        entry.value = std::bit_cast<double>(vcell.vals[target_slot].load(
-            std::memory_order_relaxed));
-        entry.key.resize(key_words_);
-        const std::atomic<std::int64_t> *words =
-            slotKey(s, base + target_ci, target_slot);
-        for (std::size_t w = 0; w < key_words_; ++w)
-            entry.key[w] = words[w].load(std::memory_order_relaxed);
-        evictions_.add(1);
-        OBS_STATIC_COUNTER(evict_counter, "cache.evict");
-        OBS_ADD(evict_counter, 1);
-        if (meta::dirty(vm, target_slot))
-            spilled->push_back(std::move(entry));
-    }
-
-    // Write the new entry. Slot-state bits are updated with a CAS
-    // loop: reference-bit RMWs from lock-free readers race even while
-    // the cell is locked, so a plain store could clobber them.
-    Cell &cell = cellAt(s, base + target_ci);
-    const std::uint64_t cell_locked =
-        target_ci == 0 ? lead_locked : lockCell(cell);
-    writeKey(s, base + target_ci, target_slot, key);
-    cell.vals[target_slot].store(value_bits,
-                                 std::memory_order_relaxed);
-    std::uint64_t old = cell.meta.load(std::memory_order_relaxed);
-    std::uint64_t next;
-    do {
-        next = (old & ~meta::slotMask(target_slot)) |
-               (ref.tag << (7 * target_slot)) |
-               meta::occupiedBit(target_slot) |
-               meta::refBit(target_slot);
-        if (dirty && value_bits != kPendingBits)
-            next |= meta::dirtyBit(target_slot);
-    } while (!cell.meta.compare_exchange_weak(
-        old, next, std::memory_order_release,
-        std::memory_order_relaxed));
-    if (target_ci != 0)
-        unlockCell(cell, cell_locked);
-    unlockCell(lead, lead_locked);
-
-    ticket->shard = &s;
-    ticket->cell = base + target_ci;
-    ticket->slot = target_slot;
-    return Claim::Claimed;
+    while (entries_.size() >= capacity_)
+        if (!evictOne(spilled))
+            return nullptr;
+    Slot *slot = &*entries_.try_emplace(key).first;
+    slot->second.order = clock_.insert(clock_.end(), slot);
+    return slot;
 }
 
 void
-ResultCache::publish(const Ticket &ticket, std::uint64_t value_bits,
-                     bool dirty)
+ResultCache::erase(Slot *slot)
 {
-    Cell &cell = cellAt(*ticket.shard, ticket.cell);
-    // Dirty before value: eviction only considers non-pending slots,
-    // so the flag is in place the instant the entry becomes evictable.
-    if (dirty)
-        cell.meta.fetch_or(meta::dirtyBit(ticket.slot),
-                           std::memory_order_relaxed);
-    cell.vals[ticket.slot].store(value_bits,
-                                 std::memory_order_release);
-    notifyShard(*ticket.shard);
+    clock_.erase(slot->second.order);
+    entries_.erase(entries_.find(slot->first));
+}
+
+std::shared_ptr<core::ResultStore>
+ResultCache::storeFor(std::int64_t ctx_word) const
+{
+    const auto it = stores_.find(ctx_word);
+    return it != stores_.end() ? it->second : nullptr;
 }
 
 void
-ResultCache::releaseClaim(const Ticket &ticket)
+ResultCache::spill(const std::vector<Spilled> &spilled)
 {
-    Shard &s = *ticket.shard;
-    const std::size_t base =
-        (ticket.cell / kGroupCells) * kGroupCells;
-    Cell &lead = cellAt(s, base);
-    Cell &cell = cellAt(s, ticket.cell);
-    const std::uint64_t lead_locked = lockCell(lead);
-    const std::uint64_t cell_locked =
-        &cell == &lead ? lead_locked : lockCell(cell);
-    std::uint64_t old = cell.meta.load(std::memory_order_relaxed);
-    while (!cell.meta.compare_exchange_weak(
-        old, old & ~meta::slotMask(ticket.slot),
-        std::memory_order_release, std::memory_order_relaxed)) {
-    }
-    cell.vals[ticket.slot].store(0, std::memory_order_relaxed);
-    if (&cell != &lead)
-        unlockCell(cell, cell_locked);
-    unlockCell(lead, lead_locked);
-    notifyShard(s);
-}
-
-void
-ResultCache::spill(std::vector<Spilled> &spilled)
-{
-    for (Spilled &entry : spilled) {
-        std::shared_ptr<core::ResultStore> store;
-        {
-            std::lock_guard<std::mutex> lock(stores_mutex_);
-            const auto it = stores_.find(entry.key.front());
-            if (it != stores_.end())
-                store = it->second;
-        }
-        if (!store)
-            continue; // no route: the eviction simply drops it
-        const Key bare(entry.key.begin() + 1, entry.key.end());
-        store->append(bare, entry.value);
+    for (const Spilled &entry : spilled) {
+        entry.store->append(Key(entry.key.begin() + 1, entry.key.end()),
+                            entry.value);
         spills_.add(1);
         OBS_STATIC_COUNTER(spill_counter, "cache.spill");
         OBS_ADD(spill_counter, 1);
     }
-    spilled.clear();
-}
-
-void
-ResultCache::notifyShard(Shard &shard)
-{
-    shard.wait_events.fetch_add(1, std::memory_order_release);
-    if (shard.waiters.load(std::memory_order_acquire) == 0)
-        return;
-    // Taking the mutex between the event bump and the notify closes
-    // the window where a waiter has sampled the generation but not
-    // yet blocked.
-    { std::lock_guard<std::mutex> lock(shard.wait_mutex); }
-    shard.wait_cv.notify_all();
-}
-
-void
-ResultCache::waitForEvent(Shard &shard, std::uint64_t gen)
-{
-    std::unique_lock<std::mutex> lock(shard.wait_mutex);
-    // The timeout is a belt-and-braces backstop: with the notify
-    // discipline above it should never be what wakes us.
-    shard.wait_cv.wait_for(lock, std::chrono::milliseconds(50), [&] {
-        return shard.wait_events.load(std::memory_order_acquire) !=
-               gen;
-    });
 }
 
 bool
 ResultCache::lookup(const Key &key, double *out) const
 {
-    const Ref ref = prefetchRef(key);
-    if (probe(ref, key, out) == Probe::Value) {
+    checkWidth(key);
+    bool hit = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(key);
+        if (it != entries_.end() && !it->second.pending) {
+            it->second.referenced = true;
+            *out = it->second.value;
+            hit = true;
+        }
+    }
+    if (hit) {
         hits_.add(1);
         OBS_STATIC_COUNTER(hit_counter, "cache.hit");
         OBS_ADD(hit_counter, 1);
-        return true;
+    } else {
+        misses_.add(1);
+        OBS_STATIC_COUNTER(miss_counter, "cache.miss");
+        OBS_ADD(miss_counter, 1);
     }
-    misses_.add(1);
-    OBS_STATIC_COUNTER(miss_counter, "cache.miss");
-    OBS_ADD(miss_counter, 1);
-    return false;
-}
-
-std::size_t
-ResultCache::lookupBatch(const Key *keys, std::size_t n, double *out,
-                         bool *found) const
-{
-    // Rolling software pipeline: hash + prefetch key i+kAhead while
-    // probing key i, so every probe lands on lines whose fetch was
-    // issued kAhead probes ago. Unlike a phased window there is no
-    // boundary stall — the prefetch distance stays constant across
-    // the whole batch. Depth trades latency coverage against
-    // outstanding-miss capacity (each key issues three prefetches).
-    constexpr std::size_t kAhead = 6;
-    Ref ring[kAhead];
-    const std::size_t prime = std::min(kAhead, n);
-    for (std::size_t i = 0; i < prime; ++i)
-        ring[i] = prefetchRef(keys[i]);
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Ref ref = ring[i % kAhead];
-        if (i + kAhead < n)
-            ring[i % kAhead] = prefetchRef(keys[i + kAhead]);
-        double value = 0.0;
-        const bool ok = probe(ref, keys[i], &value) == Probe::Value;
-        found[i] = ok;
-        out[i] = ok ? value : 0.0;
-        hits += ok;
-    }
-    hits_.add(hits);
-    misses_.add(n - hits);
-    OBS_STATIC_COUNTER(hit_counter, "cache.hit");
-    OBS_ADD(hit_counter, hits);
-    OBS_STATIC_COUNTER(miss_counter, "cache.miss");
-    OBS_ADD(miss_counter, n - hits);
-    return hits;
+    return hit;
 }
 
 ResultCache::GetResult
@@ -642,208 +160,137 @@ ResultCache::getOrCompute(const Key &key,
                           const std::function<double()> &compute,
                           bool publish_dirty)
 {
-    const Ref ref = prefetchRef(key);
-    Shard &shard = *ref.shard;
-    bool waited = false;
-    for (;;) {
-        // Sample the shard generation before probing: a publish that
-        // lands between the probe and the wait advances it, so the
-        // wait below cannot sleep through the wakeup.
-        const std::uint64_t gen =
-            shard.wait_events.load(std::memory_order_acquire);
-        double value = 0.0;
-        Ticket ticket;
-        Claim claim;
-        std::vector<Spilled> spilled;
-        {
-            OBS_SPAN("cache.lookup");
-            switch (probe(ref, key, &value)) {
-              case Probe::Value:
-                claim = Claim::Hit;
-                break;
-              case Probe::Pending:
-                claim = Claim::Pending;
-                break;
-              default:
-                claim = claimSlot(ref, key, kPendingBits, false,
-                                  &value, &ticket, &spilled);
-                break;
+    checkWidth(key);
+    std::vector<Spilled> spilled;
+    Slot *claimed = nullptr;
+    {
+        OBS_SPAN("cache.lookup");
+        std::unique_lock<std::mutex> lock(mutex_);
+        bool waited = false;
+        for (auto it = entries_.find(key); it != entries_.end();
+             it = entries_.find(key)) {
+            Entry &entry = it->second;
+            if (!entry.pending) {
+                entry.referenced = true;
+                const double value = entry.value;
+                lock.unlock();
+                hits_.add(1);
+                OBS_STATIC_COUNTER(hit_counter, "cache.hit");
+                OBS_ADD(hit_counter, 1);
+                return {value,
+                        waited ? Outcome::DedupWait : Outcome::Hit};
             }
-        }
-        if (!spilled.empty())
-            spill(spilled);
-
-        switch (claim) {
-          case Claim::Hit: {
-            hits_.add(1);
-            OBS_STATIC_COUNTER(hit_counter, "cache.hit");
-            OBS_ADD(hit_counter, 1);
-            return {value,
-                    waited ? Outcome::DedupWait : Outcome::Hit};
-          }
-          case Claim::Claimed: {
-            double computed;
-            try {
-                computed = compute();
-            } catch (...) {
-                // Release the slot so a later request retries, and
-                // wake waiters — one of them re-claims.
-                releaseClaim(ticket);
-                throw;
-            }
-            const std::uint64_t bits = valueBits(computed);
-            publish(ticket, bits, publish_dirty);
-            misses_.add(1);
-            OBS_STATIC_COUNTER(miss_counter, "cache.miss");
-            OBS_ADD(miss_counter, 1);
-            return {std::bit_cast<double>(bits), Outcome::Computed};
-          }
-          case Claim::Saturated: {
-            // The whole probe group is mid-computation for other
-            // keys: compute without caching rather than block on
-            // strangers.
-            bypasses_.add(1);
-            OBS_STATIC_COUNTER(bypass_counter, "cache.bypass");
-            OBS_ADD(bypass_counter, 1);
-            return {compute(), Outcome::Bypassed};
-          }
-          case Claim::Pending: {
             if (!waited) {
                 dedup_waits_.add(1);
                 OBS_STATIC_COUNTER(dedup_counter, "cache.dedup_wait");
                 OBS_ADD(dedup_counter, 1);
             }
             waited = true;
-            shard.waiters.fetch_add(1, std::memory_order_acq_rel);
-            waitForEvent(shard, gen);
-            shard.waiters.fetch_sub(1, std::memory_order_acq_rel);
-            break; // re-run the protocol
-          }
+            settled_.wait(lock);
         }
+        claimed = place(key, spilled);
+        if (claimed != nullptr)
+            claimed->second.pending = true;
     }
+
+    if (claimed == nullptr) {
+        // Every entry is in flight for other keys: compute without
+        // caching rather than block on strangers.
+        bypasses_.add(1);
+        OBS_STATIC_COUNTER(bypass_counter, "cache.bypass");
+        OBS_ADD(bypass_counter, 1);
+        return {compute(), Outcome::Bypassed};
+    }
+    // The claimed entry is in flight, so no other thread evicts or
+    // erases it: the pointer stays valid without the lock.
+    double value = 0.0;
+    try {
+        spill(spilled);
+        value = compute();
+    } catch (...) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            erase(claimed);
+        }
+        settled_.notify_all();
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        claimed->second.value = value;
+        claimed->second.dirty = publish_dirty;
+        claimed->second.pending = false;
+    }
+    settled_.notify_all();
+    misses_.add(1);
+    OBS_STATIC_COUNTER(miss_counter, "cache.miss");
+    OBS_ADD(miss_counter, 1);
+    return {value, Outcome::Computed};
 }
 
 bool
 ResultCache::insert(const Key &key, double value, bool dirty)
 {
-    const Ref ref = prefetchRef(key);
-    const std::uint64_t bits = valueBits(value);
-    double existing = 0.0;
-    Ticket ticket;
+    checkWidth(key);
     std::vector<Spilled> spilled;
-    const Claim claim =
-        claimSlot(ref, key, bits, dirty, &existing, &ticket, &spilled);
-    if (!spilled.empty())
-        spill(spilled);
-    switch (claim) {
-      case Claim::Claimed:
-        inserts_.add(1);
-        {
-            OBS_STATIC_COUNTER(insert_counter, "cache.insert");
-            OBS_ADD(insert_counter, 1);
+    bool placed = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            // Present or in flight (and then computing this very
+            // value: results are deterministic per key). A clean
+            // insert vouches that a published value is durable.
+            if (!dirty && !it->second.pending)
+                it->second.dirty = false;
+        } else if (Slot *slot = place(key, spilled)) {
+            slot->second.value = value;
+            slot->second.dirty = dirty;
+            placed = true;
         }
-        return true;
-      default:
-        // Hit/Pending: present, or being computed by a thread that
-        // will publish this very value (results are deterministic per
-        // key). Saturated: nothing could be placed. Either way the
-        // entry was not newly placed by this call.
-        return false;
     }
+    spill(spilled);
+    if (placed) {
+        inserts_.add(1);
+        OBS_STATIC_COUNTER(insert_counter, "cache.insert");
+        OBS_ADD(insert_counter, 1);
+    }
+    return placed;
 }
 
 void
 ResultCache::registerSpillStore(std::int64_t ctx_word,
                                 std::shared_ptr<core::ResultStore> store)
 {
-    std::lock_guard<std::mutex> lock(stores_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stores_[ctx_word] = std::move(store);
 }
 
 std::size_t
 ResultCache::flushDirty()
 {
-    std::size_t flushed = 0;
-    for (const auto &shard_ptr : shards_) {
-        Shard &s = *shard_ptr;
-        for (std::size_t group = 0; group < s.num_groups; ++group) {
-            const std::size_t base = group * kGroupCells;
-            std::vector<Spilled> dirty_entries;
-            {
-                Cell &lead = cellAt(s, base);
-                const std::uint64_t lead_locked = lockCell(lead);
-                for (std::size_t ci = 0; ci < kGroupCells; ++ci) {
-                    Cell &cell = cellAt(s, base + ci);
-                    const std::uint64_t m =
-                        cell.meta.load(std::memory_order_relaxed);
-                    for (unsigned slot = 0; slot < kCellSlots;
-                         ++slot) {
-                        if (!meta::occupied(m, slot) ||
-                            !meta::dirty(m, slot))
-                            continue;
-                        const std::uint64_t bits =
-                            cell.vals[slot].load(
-                                std::memory_order_acquire);
-                        if (bits == kPendingBits)
-                            continue;
-                        Spilled entry;
-                        entry.value = std::bit_cast<double>(bits);
-                        entry.key.resize(key_words_);
-                        const std::atomic<std::int64_t> *words =
-                            slotKey(s, base + ci, slot);
-                        for (std::size_t w = 0; w < key_words_; ++w)
-                            entry.key[w] = words[w].load(
-                                std::memory_order_relaxed);
-                        dirty_entries.push_back(std::move(entry));
-                    }
-                }
-                unlockCell(lead, lead_locked);
-            }
-            // Append outside the locks, then clear the dirty bit only
-            // if the slot still holds the very entry we persisted.
-            for (Spilled &entry : dirty_entries) {
-                std::shared_ptr<core::ResultStore> store;
-                {
-                    std::lock_guard<std::mutex> lock(stores_mutex_);
-                    const auto it = stores_.find(entry.key.front());
-                    if (it != stores_.end())
-                        store = it->second;
-                }
-                if (!store)
-                    continue; // unroutable: stays dirty
-                const Key bare(entry.key.begin() + 1,
-                               entry.key.end());
-                store->append(bare, entry.value);
-                ++flushed;
-                spills_.add(1);
-                OBS_STATIC_COUNTER(spill_counter, "cache.spill");
-                OBS_ADD(spill_counter, 1);
-                const std::uint64_t bits =
-                    std::bit_cast<std::uint64_t>(entry.value);
-                Cell &lead = cellAt(s, base);
-                const std::uint64_t lead_locked = lockCell(lead);
-                for (std::size_t ci = 0; ci < kGroupCells; ++ci) {
-                    Cell &cell = cellAt(s, base + ci);
-                    const std::uint64_t m =
-                        cell.meta.load(std::memory_order_relaxed);
-                    for (unsigned slot = 0; slot < kCellSlots;
-                         ++slot) {
-                        if (meta::occupied(m, slot) &&
-                            meta::dirty(m, slot) &&
-                            keyEquals(s, base + ci, slot,
-                                      entry.key) &&
-                            cell.vals[slot].load(
-                                std::memory_order_relaxed) == bits)
-                            cell.meta.fetch_and(
-                                ~meta::dirtyBit(slot),
-                                std::memory_order_relaxed);
-                    }
-                }
-                unlockCell(lead, lead_locked);
-            }
+    std::vector<Spilled> dirty;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &[key, entry] : entries_) {
+            if (!entry.dirty)
+                continue;
+            if (auto store = storeFor(key.front()))
+                dirty.push_back({std::move(store), key, entry.value});
         }
     }
-    return flushed;
+    spill(dirty);
+    // Clear each dirty bit only if the entry still holds the value
+    // just persisted.
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Spilled &entry : dirty) {
+        const auto it = entries_.find(entry.key);
+        if (it != entries_.end() && !it->second.pending &&
+            std::bit_cast<std::uint64_t>(it->second.value) ==
+                std::bit_cast<std::uint64_t>(entry.value))
+            it->second.dirty = false;
+    }
+    return dirty.size();
 }
 
 ResultCache::Stats
@@ -863,19 +310,8 @@ ResultCache::stats() const
 std::size_t
 ResultCache::liveEntries() const
 {
-    std::size_t live = 0;
-    for (const auto &shard_ptr : shards_) {
-        const Shard &s = *shard_ptr;
-        const std::size_t cells = s.num_groups * kGroupCells;
-        for (std::size_t ci = 0; ci < cells; ++ci) {
-            const std::uint64_t m =
-                cellAt(s, ci).meta.load(std::memory_order_relaxed);
-            live += static_cast<std::size_t>(std::popcount(
-                (m >> meta::kOccShift) &
-                ((1ULL << kCellSlots) - 1)));
-        }
-    }
-    return live;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
 }
 
 } // namespace ppm::cache

@@ -1,39 +1,18 @@
 /**
  * @file
- * ResultCache: a concurrent, fixed-footprint, open-addressing
- * point→CPI hash table — the memo layer every CPI the system produces
- * funnels through (simulator oracles, the sharded SimServer backends,
- * prediction fallbacks, adaptive-sampling batches).
+ * ResultCache: the budgeted point→value memo table every simulated
+ * result funnels through (simulator and function oracles, the
+ * SimServer's shared table, drift probes); see DESIGN.md "Result
+ * cache".
  *
- * Design (TurboHash/lightning style; see DESIGN.md "Result cache"):
- *
- *  - Storage is cache-line-sized cells (cache/cell.hh): a seqlock
- *    version word, one packed atomic meta word (6 slots × 7-bit tag +
- *    occupancy + reference + dirty bits), and six inline value words.
- *    Keys (fixed width, set at construction) live in a parallel
- *    atomic array.
- *  - Probes are cache-line-local: a key hashes to one 4-cell bucket
- *    group (24 slots scanned linearly, 256 adjacent bytes); there is
- *    no secondary probe sequence — a full group means eviction, which
- *    is the expected steady state of a budgeted cache.
- *  - Readers take no locks: a lookup loads the meta word, filters by
- *    tag, compares key words, loads the value word, and certifies the
- *    snapshot with the cell's seqlock version. Writers serialize slot
- *    mutation per group on the group's first cell version word (the
- *    per-cell spinlock: CAS even→odd, release odd→even+2).
- *  - Inserts are two-phase, with no shared_future: a miss claims a
- *    slot by publishing the key with a reserved pending value word
- *    (kPendingBits), computes outside all locks, then publishes the
- *    value with one release store. Concurrent requesters of the same
- *    key observe the pending word and block on the shard's
- *    condition variable — N racing threads still trigger exactly one
- *    computation.
- *  - The table footprint is fixed at construction from a memory
- *    budget (PPM_CACHE_MB). When a group is full, a second-chance
- *    (clock) scan evicts a victim; evicted entries whose dirty bit is
- *    set are spilled through the core::ResultStore registered for
- *    their context word, so budget pressure never loses work that a
- *    restart would otherwise re-simulate.
+ * One mutex guards an ordered map from key to entry. Entries are
+ * allocated as they are inserted, and each is charged a measured
+ * upper bound on its heap bytes (map node, key words, clock node)
+ * against the memory budget (PPM_CACHE_MB), which caps the entry
+ * count. A full table evicts by second chance over insertion order;
+ * dirty victims are spilled through the core::ResultStore registered
+ * for their context word, so budget pressure never loses work that a
+ * restart would otherwise re-simulate.
  *
  * Key layout contract: key[0] is the caller's context/routing word
  * (oracle context id and metric; 0 for single-context private
@@ -50,50 +29,27 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
+#include <utility>
 #include <vector>
 
-#include "cache/cell.hh"
 #include "core/result_store.hh"
 #include "obs/metrics.hh"
 
 namespace ppm::cache {
 
-/**
- * Deleter for the page-aligned shard arenas (see
- * ResultCache::hugeBytes in result_cache.cc). map_bytes != 0 marks an
- * mmap'd hugetlb arena (munmap); 0 marks an aligned-new fallback
- * arena. Elements must be trivially destructible. Namespace-scope
- * (not nested) so its default constructor is visible wherever
- * ResultCache's own members instantiate unique_ptr with it.
- */
-struct PageAlignedDelete
-{
-    std::size_t map_bytes = 0;
-    void operator()(void *p) const noexcept;
-};
-
 /** PPM_CACHE_MB in bytes; @p fallback_mb when unset or invalid. */
 std::size_t budgetBytesFromEnv(std::size_t fallback_mb = 16);
-
-/** PPM_CACHE_SHARDS; 0 (auto) when unset or invalid. */
-unsigned shardsFromEnv();
 
 struct CacheConfig
 {
     /** Key width in int64 words, including the context word. */
     std::size_t key_words = 0;
-    /** Table footprint cap in bytes; 0 = budgetBytesFromEnv(). */
+    /** Memory budget in bytes; 0 = budgetBytesFromEnv(). */
     std::size_t budget_bytes = 0;
-    /**
-     * Sub-table count (each shard owns its cells and its waiter
-     * queue); 0 = shardsFromEnv(), which itself defaults to an
-     * automatic choice based on the configured thread count.
-     */
-    unsigned shards = 0;
 };
 
 /** How a getOrCompute() request was satisfied. */
@@ -101,9 +57,9 @@ enum class Outcome
 {
     Hit,       //!< published value found
     DedupWait, //!< waited on another thread's in-flight computation
-    Computed,  //!< this thread claimed the slot and computed
-    Bypassed,  //!< probe group saturated with in-flight slots;
-               //!< computed without caching
+    Computed,  //!< this thread claimed the key and computed
+    Bypassed,  //!< table full of in-flight entries; computed
+               //!< without caching
 };
 
 class ResultCache
@@ -117,41 +73,21 @@ class ResultCache
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
 
-    // --- geometry (fixed at construction) ----------------------------
-
     std::size_t keyWords() const { return key_words_; }
-    unsigned shardCount() const
+    /** Entries the budget admits. */
+    std::size_t capacitySlots() const { return capacity_; }
+    /** Bytes charged for the entries held right now (≤ budget). */
+    std::size_t footprintBytes() const
     {
-        return static_cast<unsigned>(shards_.size());
+        return liveEntries() * entry_bytes_;
     }
-    /** Total slots the table can hold. */
-    std::size_t capacitySlots() const { return capacity_slots_; }
-    /** Bytes of cell + key storage actually allocated (≤ budget). */
-    std::size_t footprintBytes() const { return footprint_bytes_; }
-
-    // --- core operations ---------------------------------------------
 
     /**
-     * Lock-free point probe. Returns true and sets @p out when a
-     * published value for @p key is present. A pending (in-flight)
-     * entry reads as a miss. Counts cache.hit / cache.miss.
+     * Returns true and sets @p out when a published value for @p key
+     * is present. An in-flight entry reads as a miss. Counts
+     * cache.hit / cache.miss.
      */
     bool lookup(const Key &key, double *out) const;
-
-    /**
-     * Lock-free batched probe: the pipelined form of lookup() for
-     * the serving hot path, where oracles evaluate whole point
-     * batches. Hashes and prefetches a window of keys ahead of the
-     * probes, so the per-key cost is bounded by memory-level
-     * parallelism rather than serialized cache-miss latency — a
-     * structural advantage a pointer-chasing map cannot match.
-     *
-     * Writes out[i] / found[i] for each of the @p n keys (out[i] is
-     * 0.0 on a miss) and returns the hit count. Counts cache.hit /
-     * cache.miss like lookup().
-     */
-    std::size_t lookupBatch(const Key *keys, std::size_t n,
-                            double *out, bool *found) const;
 
     struct GetResult
     {
@@ -161,16 +97,17 @@ class ResultCache
 
     /**
      * The full memo protocol: return the published value for @p key,
-     * or wait for a racing computation of it, or claim the key and
-     * run @p compute exactly once, publishing its result. When
-     * @p publish_dirty is true the published entry is marked
-     * not-yet-durable and will be spilled through the registered
-     * store on eviction; pass false when @p compute already persisted
-     * the result (write-through).
+     * or wait (on a condition variable) for a racing computation of
+     * it, or claim the key and run @p compute exactly once, outside
+     * the lock, publishing its result. When @p publish_dirty is true
+     * the entry is marked not-yet-durable and will be spilled on
+     * eviction; pass false when @p compute already persisted the
+     * result (write-through). If the table holds only in-flight
+     * entries, computes without caching (Outcome::Bypassed).
      *
-     * If @p compute throws, the claimed slot is released so a later
-     * request retries, waiters are woken (they re-run the protocol
-     * and one of them re-claims), and the exception propagates.
+     * If @p compute throws, the claimed entry is erased, waiters are
+     * woken (one of them claims the key), and the exception
+     * propagates.
      */
     GetResult getOrCompute(const Key &key,
                            const std::function<double()> &compute,
@@ -182,8 +119,8 @@ class ResultCache
      * in place — except that inserting clean over a dirty entry
      * clears the dirty bit (the caller vouches the value is durable).
      * Returns true when the entry was newly placed; false when the
-     * key was already present (or in flight), or the probe group was
-     * saturated with pending slots and nothing could be placed.
+     * key was already present (or in flight), or the table was full
+     * of in-flight entries and nothing could be placed.
      */
     bool insert(const Key &key, double value, bool dirty);
 
@@ -198,12 +135,10 @@ class ResultCache
     /**
      * Spill every dirty entry through its registered store and mark
      * it clean; entries without a store stay dirty. Returns the
-     * number spilled. Racing evictions may cause a duplicate archive
-     * append, which preload deduplication absorbs.
+     * number spilled. A racing flush may append an entry twice, which
+     * preload deduplication absorbs.
      */
     std::size_t flushDirty();
-
-    // --- statistics --------------------------------------------------
 
     struct Stats
     {
@@ -218,107 +153,59 @@ class ResultCache
 
     Stats stats() const;
 
-    /** Occupied slots right now (racy snapshot; exact at rest). */
+    /** Entries held right now, in flight included. */
     std::size_t liveEntries() const;
 
   private:
-    template <typename T>
-    using PageArray = std::unique_ptr<T[], PageAlignedDelete>;
+    struct Entry;
+    /** The map's element; the clock list points at it. */
+    using Slot = std::pair<const Key, Entry>;
 
-    /**
-     * Allocate a page-aligned arena on 2 MiB pages when possible —
-     * explicit hugetlb pages if a pool is configured
-     * (vm.nr_hugepages), else a THP hint — so random probes cost one
-     * TLB entry instead of a page walk per touch. Returned bytes are
-     * uninitialized; the constructor placement-initializes every
-     * cell and key word.
-     */
-    static PageArray<std::byte> hugeBytes(std::size_t bytes);
-
-    struct Shard
+    struct Entry
     {
-        /**
-         * Co-located storage: each group is a contiguous block of
-         * kGroupCells cells followed by their slot keys, so one
-         * probe touches one ~2 KiB window (usually a single page)
-         * instead of two distant regions.
-         */
-        PageArray<std::byte> arena;
-        std::size_t num_groups = 0;
-
-        // Dedup waiters: wait_events advances on every publish /
-        // release in this shard; waiters block on the condition
-        // variable until it moves past the generation they sampled.
-        std::mutex wait_mutex;
-        std::condition_variable wait_cv;
-        std::atomic<std::uint64_t> wait_events{0};
-        std::atomic<unsigned> waiters{0};
+        double value = 0.0;
+        bool pending = false; //!< claimed, compute still running
+        bool dirty = false;   //!< not yet durable: spill on eviction
+        mutable bool referenced = true; //!< second-chance bit
+        std::list<Slot *>::iterator order; //!< place in clock_
     };
 
-    struct Ref
-    {
-        Shard *shard = nullptr;
-        std::size_t group = 0;     //!< group index within the shard
-        std::uint64_t tag = 0;     //!< 7-bit tag of the key
-    };
-
-    struct Ticket
-    {
-        Shard *shard = nullptr;
-        std::size_t cell = 0; //!< cell index within the shard
-        unsigned slot = 0;
-    };
-
-    /** An entry copied out of the table while evicting/flushing. */
+    /** A dirty entry copied out under the lock, persisted after. */
     struct Spilled
     {
+        std::shared_ptr<core::ResultStore> store;
         Key key;
         double value = 0.0;
     };
 
-    enum class Probe { Miss, Value, Pending };
-    enum class Claim { Hit, Pending, Claimed, Saturated };
+    void checkWidth(const Key &key) const;
+    // These four run under mutex_. Evicted dirty entries with a spill
+    // route go to @p spilled, for spill() once the lock is released.
 
-    Ref refFor(const Key &key) const;
-    /**
-     * Width-check + refFor + prefetch of the group's hot lines (cell
-     * 0 and the first two slot-key lines). The shared head of every
-     * entry point, and the pipeline stage lookupBatch() runs ahead of
-     * its probes.
-     */
-    Ref prefetchRef(const Key &key) const;
-    Cell &cellAt(const Shard &s, std::size_t cell) const;
-    std::atomic<std::int64_t> *slotKey(const Shard &s,
-                                       std::size_t cell,
-                                       unsigned slot) const;
-    bool keyEquals(const Shard &s, std::size_t cell, unsigned slot,
-                   const Key &key) const;
-    void writeKey(Shard &s, std::size_t cell, unsigned slot,
-                  const Key &key);
+    /** Evict one entry; false when every entry is in flight. */
+    bool evictOne(std::vector<Spilled> &spilled);
+    /** Add absent @p key, evicting as needed; nullptr when it can't. */
+    Slot *place(const Key &key, std::vector<Spilled> &spilled);
+    void erase(Slot *slot);
+    std::shared_ptr<core::ResultStore> storeFor(std::int64_t ctx_word) const;
 
-    Probe probe(const Ref &ref, const Key &key, double *out) const;
-    Claim claimSlot(const Ref &ref, const Key &key,
-                    std::uint64_t value_bits, bool dirty, double *out,
-                    Ticket *ticket, std::vector<Spilled> *spilled);
-    void publish(const Ticket &ticket, std::uint64_t value_bits,
-                 bool dirty);
-    void releaseClaim(const Ticket &ticket);
-    void spill(std::vector<Spilled> &spilled);
-    void notifyShard(Shard &shard);
-    void waitForEvent(Shard &shard, std::uint64_t gen);
+    /** Append each entry to its store, context word stripped. */
+    void spill(const std::vector<Spilled> &spilled);
 
     std::size_t key_words_;
-    std::size_t group_bytes_ = 0; //!< cells + key block, per group
-    std::size_t capacity_slots_ = 0;
-    std::size_t footprint_bytes_ = 0;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::size_t entry_bytes_;
+    std::size_t capacity_;
 
-    std::mutex stores_mutex_;
+    mutable std::mutex mutex_;
+    /** Notified when an in-flight entry is published or erased. */
+    std::condition_variable settled_;
+    std::map<Key, Entry> entries_;
+    std::list<Slot *> clock_; //!< insertion order, oldest first
     std::map<std::int64_t, std::shared_ptr<core::ResultStore>> stores_;
 
     // Per-table statistics; the matching process-wide cache.* obs
-    // counters are bumped at the same call sites. Mutable: the
-    // lock-free const lookup() path still counts.
+    // counters are bumped at the same call sites. Mutable: the const
+    // lookup() path still counts.
     mutable obs::Counter hits_;
     mutable obs::Counter misses_;
     obs::Counter dedup_waits_;

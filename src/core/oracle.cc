@@ -54,6 +54,24 @@ SimulatorOracle::cacheKey(const dspace::DesignPoint &point)
     return key;
 }
 
+ResultStore::Key
+SimulatorOracle::cacheKey(std::int64_t context_word,
+                          const dspace::DesignPoint &point)
+{
+    ResultStore::Key key = cacheKey(point);
+    key.insert(key.begin(), context_word);
+    return key;
+}
+
+dspace::DesignPoint
+SimulatorOracle::pointFromKey(const ResultStore::Key &key)
+{
+    dspace::DesignPoint point(key.size());
+    for (std::size_t d = 0; d < key.size(); ++d)
+        point[d] = static_cast<double>(key[d]) / 1e6;
+    return point;
+}
+
 void
 SimulatorOracle::ensureCache()
 {
@@ -64,18 +82,6 @@ SimulatorOracle::ensureCache()
         config.key_words = space_.size() + 1;
         cache_ = std::make_shared<cache::ResultCache>(config);
     });
-}
-
-ResultStore::Key
-SimulatorOracle::fullKey(const dspace::DesignPoint &point) const
-{
-    ResultStore::Key key;
-    key.reserve(point.size() + 1);
-    key.push_back(
-        cache::contextWord(context_id_, metricIndex(metric_)));
-    for (double v : point)
-        key.push_back(static_cast<std::int64_t>(std::llround(v * 1e6)));
-    return key;
 }
 
 void
@@ -117,7 +123,7 @@ SimulatorOracle::attachStore(std::shared_ptr<ResultStore> store)
 
 double
 SimulatorOracle::simulatePoint(const dspace::DesignPoint &point,
-                               const ResultStore::Key &bare_key)
+                               const ResultStore::Key &key)
 {
     OBS_SPAN("oracle.simulate");
     OBS_STATIC_COUNTER(simulations, "oracle.simulations");
@@ -130,10 +136,6 @@ SimulatorOracle::simulatePoint(const dspace::DesignPoint &point,
     const double values[3] = {stats.cpi(), power.epi(stats),
                               power.ed2p(stats)};
     const double value = values[metricIndex(metric_)];
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        last_stats_ = stats;
-    }
     // Archive before publishing: if the store cannot persist the
     // result, fail the request rather than hand out a value that a
     // replay would have to re-simulate.
@@ -143,7 +145,8 @@ SimulatorOracle::simulatePoint(const dspace::DesignPoint &point,
         store = store_;
     }
     if (store)
-        store->append(bare_key, value);
+        store->append(ResultStore::Key(key.begin() + 1, key.end()),
+                      value);
     // One simulation prices every metric: on a shared table, populate
     // the sibling-metric entries of this context so a sibling oracle
     // (same design-space config, different Metric) never re-simulates
@@ -153,11 +156,8 @@ SimulatorOracle::simulatePoint(const dspace::DesignPoint &point,
         for (int m = 0; m < 3; ++m) {
             if (m == metricIndex(metric_))
                 continue;
-            ResultStore::Key sibling;
-            sibling.reserve(bare_key.size() + 1);
-            sibling.push_back(cache::contextWord(context_id_, m));
-            sibling.insert(sibling.end(), bare_key.begin(),
-                           bare_key.end());
+            ResultStore::Key sibling = key;
+            sibling.front() = cache::contextWord(context_id_, m);
             cache_->insert(sibling, values[m], /*dirty=*/true);
         }
     }
@@ -169,15 +169,10 @@ double
 SimulatorOracle::cpi(const dspace::DesignPoint &point)
 {
     ensureCache();
-    const ResultStore::Key bare = cacheKey(point);
-    ResultStore::Key key;
-    key.reserve(bare.size() + 1);
-    key.push_back(
-        cache::contextWord(context_id_, metricIndex(metric_)));
-    key.insert(key.end(), bare.begin(), bare.end());
-
+    const ResultStore::Key key = cacheKey(
+        cache::contextWord(context_id_, metricIndex(metric_)), point);
     const cache::ResultCache::GetResult result = cache_->getOrCompute(
-        key, [&] { return simulatePoint(point, bare); },
+        key, [&] { return simulatePoint(point, key); },
         /*publish_dirty=*/false);
     switch (result.outcome) {
       case cache::Outcome::Hit: {
@@ -221,12 +216,10 @@ FunctionOracle::cpi(const dspace::DesignPoint &point)
     };
     if (!cache_)
         return evaluate();
-    ResultStore::Key key;
-    key.reserve(point.size() + 1);
-    key.push_back(ctx_word_);
-    for (double v : point)
-        key.push_back(static_cast<std::int64_t>(std::llround(v * 1e6)));
-    return cache_->getOrCompute(key, evaluate, write_behind_).value;
+    return cache_
+        ->getOrCompute(SimulatorOracle::cacheKey(ctx_word_, point),
+                       evaluate, write_behind_)
+        .value;
 }
 
 void

@@ -6,11 +6,9 @@
  * fast tests of the model-building machinery.
  *
  * Memoization is delegated to cache::ResultCache (src/cache/), the
- * concurrent budgeted hash table: oracles render design points to
- * fixed-point keys, prefix them with a context word, and run the
- * cache's exactly-once getOrCompute protocol. The old design — one
- * mutex around a std::map of shared_futures — survives as
- * cache::MutexMapCache for benchmarks and equivalence tests.
+ * budgeted memo table: oracles render design points to fixed-point
+ * keys (SimulatorOracle::cacheKey), prefix them with a context word,
+ * and run the table's exactly-once getOrCompute protocol.
  */
 
 #ifndef PPM_CORE_ORACLE_HH
@@ -97,11 +95,11 @@ int metricIndex(Metric metric);
  * configuration is free — mirroring how a real study would archive
  * simulation results.
  *
- * cpi() is thread-safe: the memo layer is a cache::ResultCache, whose
- * two-phase insert deduplicates concurrent requests for the same
- * point — exactly one simulation runs and every other requester
- * blocks on (and shares) its result. evaluateAll() exploits this to
- * simulate a batch across the global thread pool.
+ * cpi() is thread-safe: the memo layer is a cache::ResultCache, which
+ * deduplicates concurrent requests for the same point — exactly one
+ * simulation runs and every other requester blocks on (and shares)
+ * its result. evaluateAll() exploits this to simulate a batch across
+ * the global thread pool.
  *
  * By default each oracle lazily creates a private table sized by
  * PPM_CACHE_MB. Alternatively attachSharedCache() points several
@@ -164,12 +162,19 @@ class SimulatorOracle : public CpiOracle
     }
 
     /**
-     * Memo-cache key of @p point: a fixed-point rendering, so float
-     * noise cannot split logically identical configurations. This is
-     * also the key persisted by an attached ResultStore. (The in-table
-     * key additionally carries a leading context word.)
+     * Memo-cache key of @p point: a fixed-point rendering
+     * (llround(v * 1e6) per coordinate), so float noise cannot split
+     * logically identical configurations. This is also the key
+     * persisted by an attached ResultStore.
      */
     static ResultStore::Key cacheKey(const dspace::DesignPoint &point);
+
+    /** The in-table key: @p context_word, then cacheKey(@p point). */
+    static ResultStore::Key cacheKey(std::int64_t context_word,
+                                     const dspace::DesignPoint &point);
+
+    /** Inverse of cacheKey(point): the raw point a stored key names. */
+    static dspace::DesignPoint pointFromKey(const ResultStore::Key &key);
 
     std::uint64_t
     evaluations() const override
@@ -188,30 +193,18 @@ class SimulatorOracle : public CpiOracle
         return cache_hits_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Full statistics of the most recent (uncached) simulation,
-     * copied under a mutex so it can be polled while a parallel
-     * evaluateAll() is in flight. Only meaningful between batches;
-     * during a batch "most recent" depends on scheduling.
-     */
-    sim::SimStats
-    lastStats() const
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        return last_stats_;
-    }
-
     /** The metric this oracle reports. */
     Metric metric() const { return metric_; }
 
   private:
     /** Create the private table on first use (PPM_CACHE_MB-sized). */
     void ensureCache();
-    /** Context word + fixed-point point rendering. */
-    ResultStore::Key fullKey(const dspace::DesignPoint &point) const;
-    /** Run one simulation and return the requested metric's value. */
+    /**
+     * Run one simulation of @p point, whose in-table key is @p key,
+     * and return the requested metric's value.
+     */
     double simulatePoint(const dspace::DesignPoint &point,
-                         const ResultStore::Key &bare_key);
+                         const ResultStore::Key &key);
 
     const dspace::DesignSpace &space_;
     const trace::Trace &trace_;
@@ -229,9 +222,6 @@ class SimulatorOracle : public CpiOracle
     std::atomic<std::uint64_t> evaluations_{0};
     std::atomic<std::uint64_t> cache_hits_{0};
     std::atomic<std::uint64_t> archived_{0};
-
-    mutable std::mutex stats_mutex_;
-    sim::SimStats last_stats_;
 };
 
 /**

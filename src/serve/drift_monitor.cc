@@ -4,8 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
 
+#include "core/oracle.hh"
 #include "obs/event_log.hh"
 #include "obs/trace_span.hh"
 
@@ -63,24 +63,13 @@ DriftMonitor::observeBatch(
     // Rebuild the oracle memo keys and probe the shared cache: truth
     // is whatever the serve plane already simulated (live requests or
     // archive reload) — never a fresh simulation.
-    const std::size_t dims = points.front().size();
-    std::vector<cache::ResultCache::Key> keys;
-    keys.reserve(picked.size());
-    for (std::size_t i : picked) {
-        cache::ResultCache::Key key;
-        key.reserve(dims + 1);
-        key.push_back(context_word);
-        for (double v : points[i])
-            key.push_back(static_cast<std::int64_t>(
-                std::llround(v * 1e6)));
-        keys.push_back(std::move(key));
-    }
     std::vector<double> truths(picked.size(), 0.0);
-    // lookupBatch takes raw arrays; std::vector<bool> is packed, so
-    // probe through a plain buffer.
-    const std::unique_ptr<bool[]> found(new bool[picked.size()]());
-    cache.lookupBatch(keys.data(), keys.size(), truths.data(),
-                      found.get());
+    std::vector<bool> found(picked.size());
+    for (std::size_t k = 0; k < picked.size(); ++k)
+        found[k] = cache.lookup(
+            core::SimulatorOracle::cacheKey(context_word,
+                                            points[picked[k]]),
+            &truths[k]);
 
     OBS_STATIC_COUNTER(sampled_counter, "model.drift.sampled");
     OBS_ADD(sampled_counter, picked.size());

@@ -74,7 +74,7 @@ class DriftMonitor
     /**
      * Shadow-check a served batch: deterministically sample points,
      * probe @p cache for their ground truth (keys are the oracle memo
-     * keys: @p context_word then llround(coord * 1e6) per coordinate)
+     * keys, core::SimulatorOracle::cacheKey(@p context_word, point))
      * and fold |predicted - truth| / |truth| into the stats of
      * @p model_version. @p cv_error is the snapshot's training-time
      * baseline (0 = unknown).

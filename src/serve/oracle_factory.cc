@@ -5,19 +5,6 @@
 
 namespace ppm::serve {
 
-namespace {
-
-/** The archive context string; must match SimServer's context key. */
-std::string
-contextFor(const std::string &benchmark, std::uint64_t trace_length,
-           std::uint64_t warmup, core::Metric metric)
-{
-    return benchmark + "|t" + std::to_string(trace_length) + "|w" +
-           std::to_string(warmup) + "|" + core::metricName(metric);
-}
-
-} // namespace
-
 FactoryOptions
 factoryOptionsFromEnv()
 {
@@ -39,7 +26,8 @@ archiveFor(const std::string &dir, const std::string &benchmark,
         ResultArchive::fileNameFor(benchmark, trace_length, warmup,
                                    metric);
     return std::make_shared<ResultArchive>(
-        file, contextFor(benchmark, trace_length, warmup, metric));
+        file, ResultArchive::contextFor(benchmark, trace_length, warmup,
+                                        metric));
 }
 
 std::unique_ptr<core::CpiOracle>

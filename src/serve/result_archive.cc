@@ -208,6 +208,24 @@ ResultArchive::fileNameFor(const std::string &benchmark,
            ".ppma";
 }
 
+std::string
+ResultArchive::contextFor(const std::string &benchmark,
+                          std::uint64_t trace_length,
+                          std::uint64_t warmup, core::Metric metric)
+{
+    return contextFor(benchmark, trace_length, warmup) + "|" +
+           core::metricName(metric);
+}
+
+std::string
+ResultArchive::contextFor(const std::string &benchmark,
+                          std::uint64_t trace_length,
+                          std::uint64_t warmup)
+{
+    return benchmark + "|t" + std::to_string(trace_length) + "|w" +
+           std::to_string(warmup);
+}
+
 std::optional<std::size_t>
 ResultArchive::parseHeader(const std::uint8_t *data, std::size_t size,
                            const std::string &context,

@@ -123,6 +123,24 @@ class ResultArchive final : public core::ResultStore
                                    core::Metric metric);
 
     /**
+     * Context string of one oracle context, e.g.
+     * "mcf|t100000|w15000|CPI": stored in every archive header, so
+     * its bytes must never change.
+     */
+    static std::string contextFor(const std::string &benchmark,
+                                  std::uint64_t trace_length,
+                                  std::uint64_t warmup,
+                                  core::Metric metric);
+
+    /**
+     * The simulation context "mcf|t100000|w15000" that the contexts
+     * of its three metrics extend: one simulation prices them all.
+     */
+    static std::string contextFor(const std::string &benchmark,
+                                  std::uint64_t trace_length,
+                                  std::uint64_t warmup);
+
+    /**
      * Parse the header at the start of @p data, which must name
      * @p context. Returns the header size, or nullopt while the
      * header is incomplete: too few bytes, or a context CRC mismatch

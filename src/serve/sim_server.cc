@@ -27,21 +27,8 @@ namespace {
 std::string
 contextKey(const EvalRequest &req)
 {
-    return req.benchmark + "|t" + std::to_string(req.trace_length) +
-           "|w" + std::to_string(req.warmup) + "|" +
-           core::metricName(req.metric);
-}
-
-/**
- * Simulation context key: the design-space config without the metric.
- * Oracles sharing it run identical simulations, so they share one
- * cache context id and populate each other's metric entries.
- */
-std::string
-simContextKey(const EvalRequest &req)
-{
-    return req.benchmark + "|t" + std::to_string(req.trace_length) +
-           "|w" + std::to_string(req.warmup);
+    return ResultArchive::contextFor(req.benchmark, req.trace_length,
+                                     req.warmup, req.metric);
 }
 
 } // namespace
@@ -114,6 +101,15 @@ SimServer::stop()
     for (auto &worker : workers_)
         worker.join();
     workers_.clear();
+    // Sibling-metric results are cached dirty; persist the ones with
+    // an archive before their only copy goes away. stop() also runs
+    // from the destructor, so a failing archive is logged, not thrown.
+    try {
+        cache_->flushDirty();
+    } catch (const std::exception &e) {
+        obs::logEvent(obs::LogLevel::Warn, "serve", "flush_failed",
+                      {{"error", e.what()}});
+    }
     listen_fd_.reset();
     ::close(stop_pipe_[0]);
     ::close(stop_pipe_[1]);
@@ -172,10 +168,12 @@ SimServer::backendFor(const EvalRequest &req)
     backend->oracle = std::make_unique<core::SimulatorOracle>(
         space_, backend->trace, sim_options, req.metric);
     // All oracles memoize through the server's shared table; oracles
-    // differing only in Metric share a context id, so one simulation
-    // answers all three metrics of its simulation context.
+    // differing only in Metric share a context id (keyed by the
+    // metric-free simulation context), so one simulation answers all
+    // three metrics of its simulation context.
     const auto [ctx_it, ctx_inserted] = sim_context_ids_.try_emplace(
-        simContextKey(req),
+        ResultArchive::contextFor(req.benchmark, req.trace_length,
+                                  req.warmup),
         static_cast<std::int64_t>(sim_context_ids_.size()));
     (void)ctx_inserted;
     backend->oracle->attachSharedCache(cache_, ctx_it->second);
@@ -267,10 +265,8 @@ SimServer::handlePredict(const Frame &frame)
         // against ground truth already in the shared cache; the
         // context word is exactly what an EvalRequest for the
         // snapshot's simulation context would memoize under.
-        const std::string sim_key =
-            model->benchmark + "|t" +
-            std::to_string(model->trace_length) + "|w" +
-            std::to_string(model->warmup);
+        const std::string sim_key = ResultArchive::contextFor(
+            model->benchmark, model->trace_length, model->warmup);
         drift_.observeBatch(
             *cache_,
             cache::contextWord(contextIdFor(sim_key),

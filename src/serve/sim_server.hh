@@ -121,7 +121,8 @@ class SimServer
 
     /**
      * Shut down: stop accepting, sever in-flight connections, join
-     * all workers, unlink the socket path. Idempotent.
+     * all workers, flush dirty cached results to their archives,
+     * unlink the socket path. Idempotent.
      */
     void stop();
 

@@ -8,11 +8,14 @@
 
 #include "obs/event_log.hh"
 #include "obs/trace_span.hh"
+#include "serve/result_archive.hh"
 #include "serve/wire_codec.hh"
 #include "util/crc32.hh"
 #include "util/file_io.hh"
 
 namespace ppm::train {
+
+using core::SimulatorOracle;
 
 namespace {
 
@@ -25,16 +28,6 @@ constexpr double kErrorFloor = 0.02;
 
 /** State files are small; cap guards against garbage length words. */
 constexpr std::uint32_t kMaxStatePayload = 1u << 28;
-
-/** Invert a memo key (llround(v * 1e6) per coordinate) to a point. */
-dspace::DesignPoint
-keyToPoint(const core::ResultStore::Key &key)
-{
-    dspace::DesignPoint point(key.size());
-    for (std::size_t d = 0; d < key.size(); ++d)
-        point[d] = static_cast<double>(key[d]) / 1e6;
-    return point;
-}
 
 /**
  * Deterministic k-fold CV mean relative error at the already chosen
@@ -109,10 +102,9 @@ OnlineTrainer::OnlineTrainer(dspace::DesignSpace space,
                              OnlineTrainerOptions options)
     : space_(std::move(space)), options_(std::move(options))
 {
-    context_ = options_.benchmark + "|t" +
-               std::to_string(options_.trace_length) + "|w" +
-               std::to_string(options_.warmup) + "|" +
-               core::metricName(options_.metric);
+    context_ = serve::ResultArchive::contextFor(
+        options_.benchmark, options_.trace_length, options_.warmup,
+        options_.metric);
     loadState();
     folds_ = points_.size();
     if (points_.size() >= options_.min_train_points) {
@@ -142,7 +134,7 @@ OnlineTrainer::acceptRecord(const Key &key, double value,
 {
     if (key.size() != space_.size())
         return false; // foreign record
-    if (!space_.contains(keyToPoint(key)))
+    if (!space_.contains(SimulatorOracle::pointFromKey(key)))
         return false; // out-of-space record
     const auto [it, inserted] = points_.emplace(key, value);
     if (!inserted)
@@ -171,7 +163,7 @@ OnlineTrainer::step()
         OBS_SPAN("train.fold_epoch");
         for (const Key *key : fresh) {
             const dspace::UnitPoint x =
-                space_.toUnit(keyToPoint(*key));
+                space_.toUnit(SimulatorOracle::pointFromKey(*key));
             const double y = points_.at(*key);
             // Prequential (test-then-train) scoring: the model is
             // judged on each point before learning from it.
@@ -241,7 +233,7 @@ OnlineTrainer::fullRefit()
     xs.reserve(points_.size());
     ys.reserve(points_.size());
     for (const auto &[key, value] : points_) {
-        xs.push_back(space_.toUnit(keyToPoint(key)));
+        xs.push_back(space_.toUnit(SimulatorOracle::pointFromKey(key)));
         ys.push_back(value);
     }
     const rbf::TrainerOptions refit_options =
@@ -279,7 +271,7 @@ OnlineTrainer::fullRefit()
     fit_ = std::make_unique<rbf::IncrementalFit>(
         trained.network.bases(), options_.ridge);
     for (const auto &[key, value] : points_)
-        fit_->fold(space_.toUnit(keyToPoint(key)), value);
+        fit_->fold(space_.toUnit(SimulatorOracle::pointFromKey(key)), value);
 
     points_at_refit_ = points_.size();
     preq_err_sum_ = 0.0;

@@ -1,7 +1,5 @@
 #include "tree/regression_tree.hh"
 
-#include "tree/flat_tree.hh"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -130,22 +128,6 @@ RegressionTree::RegressionTree(const std::vector<dspace::UnitPoint> &xs,
         queue.push_back({node->left.get(), std::move(left_idx)});
         queue.push_back({node->right.get(), std::move(right_idx)});
     }
-
-    flat_ = std::make_shared<const FlatTree>(*this);
-}
-
-std::vector<double>
-RegressionTree::predictBatch(
-    const std::vector<dspace::UnitPoint> &xs) const
-{
-    return flat_->predictBatch(xs);
-}
-
-std::vector<double>
-RegressionTree::leafStdBatch(
-    const std::vector<dspace::UnitPoint> &xs) const
-{
-    return flat_->leafStdBatch(xs);
 }
 
 RegressionTree::BestSplit

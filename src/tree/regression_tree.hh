@@ -21,8 +21,6 @@
 
 namespace ppm::tree {
 
-class FlatTree;
-
 /**
  * Description of one tree node's region of the design space, exported
  * for RBF center generation and diagnostics. Coordinates are in unit
@@ -118,24 +116,6 @@ class RegressionTree
     double leafStd(const dspace::UnitPoint &x) const;
 
     /**
-     * Batched predictions through the compiled level-order SoA plan
-     * (see flat_tree.hh); element i is bit-identical to
-     * predict(xs[i]).
-     */
-    std::vector<double> predictBatch(
-        const std::vector<dspace::UnitPoint> &xs) const;
-
-    /** Batched leafStd through the compiled plan. */
-    std::vector<double> leafStdBatch(
-        const std::vector<dspace::UnitPoint> &xs) const;
-
-    /**
-     * The flattened traversal plan compiled at construction time.
-     * Immutable and shared by copies; safe for concurrent readers.
-     */
-    const FlatTree &flat() const { return *flat_; }
-
-    /**
      * All node regions in breadth-first order (root first). This is the
      * candidate-center ordering used by tree-ordered RBF subset
      * selection.
@@ -151,9 +131,6 @@ class RegressionTree
     const std::vector<SplitRecord> &splits() const { return splits_; }
 
   private:
-    /** FlatTree reads the pointer tree directly when flattening. */
-    friend class FlatTree;
-
     struct Node
     {
         dspace::UnitPoint lower;
@@ -196,8 +173,6 @@ class RegressionTree
     std::size_t leaf_count_ = 0;
     int max_depth_ = 0;
     std::vector<SplitRecord> splits_;
-    /** Level-order SoA traversal plan, compiled once after build. */
-    std::shared_ptr<const FlatTree> flat_;
 };
 
 } // namespace ppm::tree

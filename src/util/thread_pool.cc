@@ -13,6 +13,9 @@ namespace {
 /** Set while the current thread runs a pool task (nesting guard). */
 thread_local bool t_inside_task = false;
 
+/** Set while a CallerWaitsScope is alive on the current thread. */
+thread_local bool t_caller_waits = false;
+
 } // namespace
 
 /**
@@ -75,6 +78,16 @@ ThreadPool::insideTask()
     return t_inside_task;
 }
 
+CallerWaitsScope::CallerWaitsScope() : previous_(t_caller_waits)
+{
+    t_caller_waits = true;
+}
+
+CallerWaitsScope::~CallerWaitsScope()
+{
+    t_caller_waits = previous_;
+}
+
 void
 ThreadPool::forEach(std::size_t n,
                     const std::function<void(std::size_t)> &fn,
@@ -85,9 +98,11 @@ ThreadPool::forEach(std::size_t n,
     OBS_SPAN("pool.forEach");
     OBS_STATIC_COUNTER(items_dispatched, "pool.items");
     OBS_ADD(items_dispatched, n);
-    // Serial pool, single item, or nested submission from inside a
-    // task: run inline. Exceptions propagate naturally.
-    if (workers_.empty() || n == 1 || t_inside_task) {
+    // Serial pool, nested submission from inside a task, or a single
+    // item the caller may take: run inline. Exceptions propagate
+    // naturally.
+    if (workers_.empty() || t_inside_task ||
+        (n == 1 && !t_caller_waits)) {
         for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
@@ -109,7 +124,8 @@ ThreadPool::forEach(std::size_t n,
     work_cv_.notify_all();
 
     // The caller works too, then waits for stragglers.
-    runJob(job);
+    if (!t_caller_waits)
+        runJob(job);
     std::unique_lock<std::mutex> lock(mutex_);
     job->done_cv.wait(lock, [&] { return job->finished(); });
     const auto it = std::find(queue_.begin(), queue_.end(), job);

@@ -60,9 +60,10 @@ class ThreadPool
 
     /**
      * Run fn(i) for every i in [0, n), blocking until all complete.
-     * The caller participates in the work. If any invocation throws,
-     * the first exception is rethrown here and indices not yet started
-     * are skipped.
+     * The caller participates in the work (unless a CallerWaitsScope
+     * is alive on its thread). If any invocation throws, the first
+     * exception is rethrown here and indices not yet started are
+     * skipped.
      *
      * Workers claim contiguous index ranges of @p grain items per
      * mutex acquisition (chunked dispatch), so very fine-grained
@@ -91,6 +92,24 @@ class ThreadPool
     std::condition_variable work_cv_;
     std::vector<std::shared_ptr<Job>> queue_;
     bool stop_ = false;
+};
+
+/**
+ * While alive, forEach() calls made on the constructing thread leave
+ * every item to the pool's workers and only wait for them; a serial
+ * pool, or a call nested inside a task, still runs inline. Tests use
+ * it to put work on worker threads deterministically.
+ */
+class CallerWaitsScope
+{
+  public:
+    CallerWaitsScope();
+    ~CallerWaitsScope();
+    CallerWaitsScope(const CallerWaitsScope &) = delete;
+    CallerWaitsScope &operator=(const CallerWaitsScope &) = delete;
+
+  private:
+    bool previous_;
 };
 
 /**

@@ -3,10 +3,11 @@
  * ResultCache contention-correctness suite: SIGKILL-then-restart
  * spill recovery (dirty entries evicted to a ResultArchive reload
  * with zero re-computation), N-threads-one-point dedup (exactly one
- * computation), eviction under concurrent lock-free lookups, budget
- * enforcement under parallel load, bit-equivalence of cached oracles
- * against the mutex-map baseline across thread and shard counts, and
- * live cache.* counter exposure through the server's STATS frame.
+ * computation), eviction under concurrent lookups, budget enforcement
+ * under parallel load, bit-equivalence of cached oracles against the
+ * independent MutexMapCache across thread counts and private/shared
+ * tables, and live cache.* counter exposure through the server's
+ * STATS frame.
  *
  * The SIGKILL suite forks, so it is registered first — before any
  * test spins up pool threads in this binary.
@@ -28,7 +29,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "cache/baseline.hh"
 #include "cache/result_cache.hh"
 #include "core/oracle.hh"
 #include "dspace/paper_space.hh"
@@ -42,6 +42,8 @@
 #include "trace/benchmark_profile.hh"
 #include "trace/trace_generator.hh"
 #include "util/thread_pool.hh"
+
+#include "mutex_map_cache.hh"
 
 namespace {
 
@@ -103,15 +105,14 @@ TEST(CacheSpillRestart, SigkillThenRestartReloadsSpilledEntries)
     const pid_t pid = ::fork();
     ASSERT_NE(pid, -1);
     if (pid == 0) {
-        // Child: tiny one-group table (24 slots) so most of the 60
+        // Child: a table of a few dozen entries, so most of the 60
         // dirty results are evicted — and therefore spilled — before
         // the kill. No flushDirty(): whatever is still only in the
         // table dies with the process.
         ::close(ready_pipe[0]);
         CacheConfig config;
         config.key_words = 3;
-        config.budget_bytes = 1;
-        config.shards = 1;
+        config.budget_bytes = 4096;
         auto cache = std::make_shared<ResultCache>(config);
         auto store = std::make_shared<serve::ResultArchive>(
             archive_file, "synthetic");
@@ -235,14 +236,12 @@ TEST(CacheContention, FunctionOracleDedupsRacingThreads)
 
 TEST(CacheContention, EvictionUnderConcurrentLookupStaysConsistent)
 {
-    // A handful of groups, hammered: the writer forces constant
-    // eviction while readers run the lock-free probe. Any hit must
-    // carry the exact value of its key — a torn or recycled slot
-    // would fail the equality.
+    // A small table, hammered: the writer forces constant eviction
+    // while readers probe. Any hit must carry the exact value of its
+    // key — a torn or recycled entry would fail the equality.
     CacheConfig config;
     config.key_words = 2;
     config.budget_bytes = 16 * 1024;
-    config.shards = 1;
     ResultCache cache(config);
     const auto valueOf = [](std::int64_t i) { return i * 1.25 + 0.5; };
 
@@ -302,7 +301,6 @@ TEST(CacheContention, BudgetRespectedUnderParallelLoad)
     CacheConfig config;
     config.key_words = 2;
     config.budget_bytes = 32 * 1024;
-    config.shards = 4;
     ResultCache cache(config);
     EXPECT_LE(cache.footprintBytes(), config.budget_bytes);
 
@@ -322,14 +320,14 @@ TEST(CacheContention, BudgetRespectedUnderParallelLoad)
 
     EXPECT_LE(cache.liveEntries(), cache.capacitySlots());
     EXPECT_GT(cache.stats().evictions, 0u);
-    // The table never grows: its footprint was fixed at construction.
+    // Eviction keeps the bytes charged for live entries in budget.
     EXPECT_LE(cache.footprintBytes(), config.budget_bytes);
 }
 
 /**
  * Bit-equivalence sweep: a cached FunctionOracle must return exactly
  * the values of the mutex-map baseline protocol for every thread
- * count x shard count, including repeated points (memo hits).
+ * count, including repeated points (memo hits).
  */
 TEST(CacheEquivalence, FunctionOracleMatchesMutexMapBaseline)
 {
@@ -352,35 +350,29 @@ TEST(CacheEquivalence, FunctionOracleMatchesMutexMapBaseline)
         });
 
     for (const unsigned threads : {1u, 4u, 8u}) {
-        for (const unsigned shards : {0u, 1u, 4u}) {
-            CacheConfig config;
-            config.key_words = 3;
-            config.budget_bytes = 1 << 20;
-            config.shards = shards;
-            core::FunctionOracle oracle(syntheticCpi);
-            oracle.attachCache(
-                std::make_shared<ResultCache>(config));
-            util::setGlobalThreads(threads);
-            const std::vector<double> got = util::parallelMap(
-                points, [&](const dspace::DesignPoint &p) {
-                    return oracle.cpi(p);
-                });
-            ASSERT_EQ(got.size(), expected.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                ASSERT_EQ(got[i], expected[i])
-                    << "threads=" << threads << " shards=" << shards
-                    << " point=" << i;
-            EXPECT_LE(oracle.evaluations(), 64u)
-                << "duplicates must be memoized";
-        }
+        CacheConfig config;
+        config.key_words = 3;
+        config.budget_bytes = 1 << 20;
+        core::FunctionOracle oracle(syntheticCpi);
+        oracle.attachCache(std::make_shared<ResultCache>(config));
+        util::setGlobalThreads(threads);
+        const std::vector<double> got = util::parallelMap(
+            points,
+            [&](const dspace::DesignPoint &p) { return oracle.cpi(p); });
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], expected[i])
+                << "threads=" << threads << " point=" << i;
+        EXPECT_LE(oracle.evaluations(), 64u)
+            << "duplicates must be memoized";
     }
     util::setGlobalThreads(0);
 }
 
 /**
- * The real thing: SimulatorOracle CPI values through the concurrent
- * cache are bit-identical to a mutex-map-memoized direct-simulation
- * baseline at 1/4/8 threads and auto/1/4 shards.
+ * The real thing: SimulatorOracle CPI values through the cache are
+ * bit-identical to a mutex-map-memoized direct-simulation baseline at
+ * 1/4/8 threads, on the oracle's private table and on a shared one.
  */
 TEST(CacheEquivalence, SimulatorOracleMatchesBaselineAcrossThreadsAndShards)
 {
@@ -409,13 +401,12 @@ TEST(CacheEquivalence, SimulatorOracleMatchesBaselineAcrossThreadsAndShards)
     }
 
     for (const unsigned threads : {1u, 4u, 8u}) {
-        for (const unsigned shards : {0u, 1u, 4u}) {
+        for (const bool shared : {false, true}) {
             core::SimulatorOracle oracle(space, trace, options);
-            if (shards != 0) {
+            if (shared) {
                 CacheConfig config;
                 config.key_words = space.size() + 1;
                 config.budget_bytes = 1 << 20;
-                config.shards = shards;
                 oracle.attachSharedCache(
                     std::make_shared<ResultCache>(config), 0);
             }
@@ -425,7 +416,7 @@ TEST(CacheEquivalence, SimulatorOracleMatchesBaselineAcrossThreadsAndShards)
             ASSERT_EQ(got.size(), expected.size());
             for (std::size_t i = 0; i < got.size(); ++i)
                 ASSERT_EQ(got[i], expected[i])
-                    << "threads=" << threads << " shards=" << shards
+                    << "threads=" << threads << " shared=" << shared
                     << " point=" << i;
             EXPECT_EQ(oracle.evaluations(), batch.size() - 1)
                 << "the duplicate point must not re-simulate";

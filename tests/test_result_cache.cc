@@ -1,14 +1,17 @@
 /**
  * @file
- * ResultCache unit suite: meta-word packing, insert/lookup round
- * trips, the getOrCompute outcomes, deterministic second-chance
- * eviction on a single-group table, budget enforcement, dirty-entry
- * spill through a recording ResultStore, flushDirty semantics, the
- * pending-sentinel canonicalisation, and the env knobs.
+ * ResultCache unit suite: insert/lookup round trips, the getOrCompute
+ * outcomes (a waiter claims the key after a throwing compute, a table
+ * full of in-flight entries bypasses), deterministic second-chance
+ * eviction on a small table, budget enforcement and the measured
+ * per-entry charge, dirty-entry spill through a recording
+ * ResultStore, flushDirty semantics, exact value bit patterns, and
+ * the env knob.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,10 +19,12 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "cache/cell.hh"
+#include <malloc.h>
+
 #include "cache/result_cache.hh"
 #include "core/result_store.hh"
 
@@ -62,48 +67,14 @@ class RecordingStore : public core::ResultStore
     std::vector<std::pair<Key, double>> records_;
 };
 
-/** Config for a table squeezed to one probe group (24 slots). */
+/** Config for a table of a few dozen entries. */
 CacheConfig
-oneGroupConfig(std::size_t key_words = 2)
+smallConfig(std::size_t key_words = 2)
 {
     CacheConfig config;
     config.key_words = key_words;
-    config.budget_bytes = 1; // floors to a single group
-    config.shards = 1;
+    config.budget_bytes = 4096;
     return config;
-}
-
-TEST(CacheMeta, PackingRoundTrips)
-{
-    std::uint64_t word = 0;
-    for (unsigned slot = 0; slot < cache::kCellSlots; ++slot) {
-        const std::uint64_t tag = (slot * 19 + 3) & 0x7F;
-        word = cache::meta::withTag(word, slot, tag);
-        word |= cache::meta::occupiedBit(slot);
-        EXPECT_EQ(cache::meta::tag(word, slot), tag);
-        EXPECT_TRUE(cache::meta::occupied(word, slot));
-        EXPECT_FALSE(cache::meta::refSet(word, slot));
-        word |= cache::meta::refBit(slot);
-        EXPECT_TRUE(cache::meta::refSet(word, slot));
-        EXPECT_FALSE(cache::meta::dirty(word, slot));
-        word |= cache::meta::dirtyBit(slot);
-        EXPECT_TRUE(cache::meta::dirty(word, slot));
-    }
-    // Tags survive the state bits of every other slot.
-    for (unsigned slot = 0; slot < cache::kCellSlots; ++slot)
-        EXPECT_EQ(cache::meta::tag(word, slot),
-                  (slot * 19 + 3) & 0x7FULL);
-    // Clearing one slot's mask leaves the others intact.
-    const std::uint64_t cleared = word & ~cache::meta::slotMask(2);
-    EXPECT_EQ(cache::meta::tag(cleared, 2), 0u);
-    EXPECT_FALSE(cache::meta::occupied(cleared, 2));
-    EXPECT_TRUE(cache::meta::occupied(cleared, 1));
-    EXPECT_TRUE(cache::meta::dirty(cleared, 3));
-}
-
-TEST(CacheMeta, CellIsOneCacheLine)
-{
-    EXPECT_EQ(sizeof(cache::Cell), 64u);
 }
 
 TEST(CacheMeta, ContextWordPacksIdAndMetric)
@@ -133,65 +104,19 @@ TEST(ResultCacheTest, InsertAndLookupRoundTrip)
     double value = 0.0;
     EXPECT_FALSE(cache.lookup({1, 0, 1}, &value));
     EXPECT_EQ(cache.liveEntries(), 100u);
+    // Every probe counted once.
+    EXPECT_EQ(cache.stats().hits, 100u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().inserts, 100u);
     // Re-inserting an existing key is not a new placement.
     EXPECT_FALSE(cache.insert({0, 0, 1}, 9.0, false));
     ASSERT_TRUE(cache.lookup({0, 0, 1}, &value));
     EXPECT_EQ(value, 0.0) << "first value wins";
 }
 
-TEST(ResultCacheTest, LookupBatchMatchesSingleLookups)
-{
-    CacheConfig config;
-    config.key_words = 3;
-    config.budget_bytes = 1 << 20;
-    ResultCache cache(config);
-
-    for (std::int64_t i = 0; i < 200; ++i)
-        cache.insert({0, i, i * 7 + 1}, i * 0.5, false);
-
-    // A batch mixing hits, misses, and duplicates — longer than the
-    // pipeline depth so the rolling prefetch window wraps.
-    std::vector<Key> keys;
-    for (std::int64_t i = 0; i < 100; ++i) {
-        keys.push_back({0, i * 2, i * 2 * 7 + 1}); // present
-        keys.push_back({1, i, i * 7 + 1});         // absent
-    }
-    keys.push_back(keys.front());
-
-    const auto before = cache.stats();
-    std::vector<double> values(keys.size(), -1.0);
-    const auto found = std::make_unique<bool[]>(keys.size());
-    const std::size_t hits = cache.lookupBatch(
-        keys.data(), keys.size(), values.data(), found.get());
-
-    std::size_t expected_hits = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        double single = 0.0;
-        const bool present = cache.lookup(keys[i], &single);
-        EXPECT_EQ(found[i], present) << "key " << i;
-        EXPECT_EQ(values[i], present ? single : 0.0) << "key " << i;
-        expected_hits += present;
-    }
-    EXPECT_EQ(hits, expected_hits);
-    EXPECT_EQ(hits, 101u);
-
-    // The batch and the per-key re-checks each counted every probe.
-    const auto after = cache.stats();
-    EXPECT_EQ(after.hits - before.hits, 2 * hits);
-    EXPECT_EQ(after.misses - before.misses,
-              2 * (keys.size() - hits));
-
-    // Width mismatches are rejected up front, like lookup().
-    const Key narrow = {0, 1};
-    double value = 0.0;
-    bool ok = false;
-    EXPECT_THROW(cache.lookupBatch(&narrow, 1, &value, &ok),
-                 std::invalid_argument);
-}
-
 TEST(ResultCacheTest, GetOrComputeComputesExactlyOnce)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     int computes = 0;
     const auto compute = [&] {
         ++computes;
@@ -210,7 +135,7 @@ TEST(ResultCacheTest, GetOrComputeComputesExactlyOnce)
 
 TEST(ResultCacheTest, GetOrComputeReleasesClaimOnThrow)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     EXPECT_THROW(cache.getOrCompute(
                      {4, 4},
                      []() -> double {
@@ -225,28 +150,102 @@ TEST(ResultCacheTest, GetOrComputeReleasesClaimOnThrow)
     EXPECT_EQ(retry.value, 1.25);
 }
 
+TEST(ResultCacheTest, WaiterClaimsKeyAfterThrowingCompute)
+{
+    ResultCache cache(smallConfig());
+    std::atomic<bool> claimed{false};
+    std::thread owner([&] {
+        EXPECT_THROW(cache.getOrCompute(
+                         {4, 4},
+                         [&]() -> double {
+                             claimed.store(true);
+                             // Throw only once the waiter is queued.
+                             while (cache.stats().dedup_waits == 0)
+                                 std::this_thread::yield();
+                             throw std::runtime_error("sim failed");
+                         },
+                         false),
+                     std::runtime_error);
+    });
+    while (!claimed.load())
+        std::this_thread::yield();
+    const auto waiter =
+        cache.getOrCompute({4, 4}, [] { return 1.25; }, false);
+    owner.join();
+    EXPECT_EQ(waiter.outcome, Outcome::Computed);
+    EXPECT_EQ(waiter.value, 1.25);
+    double value = 0.0;
+    ASSERT_TRUE(cache.lookup({4, 4}, &value));
+    EXPECT_EQ(value, 1.25);
+}
+
+TEST(ResultCacheTest, TableFullOfInFlightEntriesBypasses)
+{
+    CacheConfig config = smallConfig();
+    config.budget_bytes = 700; // a handful of entries
+    ResultCache cache(config);
+    const std::size_t capacity = cache.capacitySlots();
+    ASSERT_GT(capacity, 0u);
+    ASSERT_LE(capacity, 8u);
+    std::atomic<bool> release{false};
+    std::vector<std::thread> owners;
+    for (std::size_t i = 0; i < capacity; ++i)
+        owners.emplace_back([&, i] {
+            const auto got = cache.getOrCompute(
+                {1, static_cast<std::int64_t>(i)},
+                [&] {
+                    while (!release.load())
+                        std::this_thread::yield();
+                    return 0.5;
+                },
+                false);
+            EXPECT_EQ(got.outcome, Outcome::Computed);
+        });
+    while (cache.liveEntries() < capacity)
+        std::this_thread::yield();
+
+    // Every entry is in flight: nothing can be evicted.
+    const auto got =
+        cache.getOrCompute({2, 0}, [] { return 7.0; }, false);
+    EXPECT_EQ(got.outcome, Outcome::Bypassed);
+    EXPECT_EQ(got.value, 7.0);
+    EXPECT_FALSE(cache.insert({2, 1}, 8.0, false));
+    EXPECT_EQ(cache.stats().bypasses, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+
+    release.store(true);
+    for (auto &owner : owners)
+        owner.join();
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup({2, 0}, &value));
+    for (std::size_t i = 0; i < capacity; ++i)
+        EXPECT_TRUE(cache.lookup({1, static_cast<std::int64_t>(i)},
+                                 &value));
+}
+
 TEST(ResultCacheTest, SecondChanceEvictsUnreferencedFirst)
 {
-    ResultCache cache(oneGroupConfig());
-    ASSERT_EQ(cache.capacitySlots(), 24u);
+    ResultCache cache(smallConfig());
+    const auto capacity =
+        static_cast<std::int64_t>(cache.capacitySlots());
+    ASSERT_GE(capacity, 13);
     const auto keyOf = [](std::int64_t i) { return Key{9, i}; };
 
-    for (std::int64_t i = 0; i < 24; ++i)
+    for (std::int64_t i = 0; i < capacity; ++i)
         ASSERT_TRUE(cache.insert(keyOf(i), i * 1.5, false));
-    EXPECT_EQ(cache.liveEntries(), 24u);
+    EXPECT_EQ(cache.liveEntries(), cache.capacitySlots());
 
-    // 25th entry: every slot starts referenced (fresh inserts), so
-    // the clock sweep spends all reference bits and takes the first
-    // slot — key 0.
+    // One entry more: every entry starts referenced (fresh inserts),
+    // so the sweep spends all reference bits and takes the oldest
+    // entry — key 0.
     ASSERT_TRUE(cache.insert({10, 100}, -1.0, false));
     double value = 0.0;
     EXPECT_FALSE(cache.lookup(keyOf(0), &value));
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.liveEntries(), 24u);
+    EXPECT_EQ(cache.liveEntries(), cache.capacitySlots());
 
     // Touch keys 1..11: their reference bits shield them, so the next
-    // eviction must take key 12 — the first unreferenced slot in
-    // probe order.
+    // eviction must take key 12 — the oldest unreferenced entry.
     for (std::int64_t i = 1; i <= 11; ++i)
         ASSERT_TRUE(cache.lookup(keyOf(i), &value));
     ASSERT_TRUE(cache.insert({10, 101}, -2.0, false));
@@ -262,10 +261,8 @@ TEST(ResultCacheTest, BudgetCapsFootprintAndOccupancy)
     CacheConfig config;
     config.key_words = 4;
     config.budget_bytes = 64 * 1024;
-    config.shards = 2;
     ResultCache cache(config);
-    EXPECT_LE(cache.footprintBytes(), config.budget_bytes);
-    EXPECT_EQ(cache.shardCount(), 2u);
+    EXPECT_EQ(cache.footprintBytes(), 0u) << "nothing allocated yet";
     ASSERT_GT(cache.capacitySlots(), 0u);
 
     // Insert 4x the capacity; occupancy must never pass capacity.
@@ -273,22 +270,68 @@ TEST(ResultCacheTest, BudgetCapsFootprintAndOccupancy)
         static_cast<std::int64_t>(cache.capacitySlots()) * 4;
     for (std::int64_t i = 0; i < n; ++i)
         cache.insert({i, i * 3, i ^ 0x55, 7}, i * 0.5, false);
-    EXPECT_LE(cache.liveEntries(), cache.capacitySlots());
+    EXPECT_EQ(cache.liveEntries(), cache.capacitySlots());
+    EXPECT_LE(cache.footprintBytes(), config.budget_bytes);
     EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(ResultCacheTest, BudgetBelowOneEntryCachesNothing)
+{
+    CacheConfig config;
+    config.key_words = 2;
+    config.budget_bytes = 1;
+    ResultCache cache(config);
+    EXPECT_EQ(cache.capacitySlots(), 0u);
+    EXPECT_FALSE(cache.insert({1, 1}, 1.0, false));
+    const auto got =
+        cache.getOrCompute({1, 2}, [] { return 2.0; }, false);
+    EXPECT_EQ(got.outcome, Outcome::Bypassed);
+    EXPECT_EQ(got.value, 2.0);
+    EXPECT_EQ(cache.liveEntries(), 0u);
+    EXPECT_EQ(cache.footprintBytes(), 0u);
+}
+
+/**
+ * The per-entry charge is an upper bound on what the allocator spends
+ * for an entry, so the budget bounds the table's heap (and RSS).
+ */
+TEST(ResultCacheTest, EntryChargeBoundsHeapBytes)
+{
+    // Register the process-wide cache.* counters before measuring.
+    ResultCache(smallConfig()).insert({0, 0}, 0.0, false);
+    for (const std::size_t key_words : {2u, 3u, 10u, 17u}) {
+        CacheConfig config;
+        config.key_words = key_words;
+        config.budget_bytes = 8u << 20;
+        ResultCache cache(config);
+        // Keys are built up front so only the table allocates.
+        std::vector<Key> keys;
+        for (std::int64_t i = 0; i < 4000; ++i)
+            keys.emplace_back(key_words, i * 31 + 7);
+        const std::size_t before = ::mallinfo2().uordblks;
+        for (const Key &key : keys)
+            cache.insert(key, 0.5, false);
+        const std::size_t grown = ::mallinfo2().uordblks - before;
+        ASSERT_EQ(cache.liveEntries(), keys.size());
+        EXPECT_LE(grown, cache.footprintBytes())
+            << "key_words " << key_words;
+    }
 }
 
 TEST(ResultCacheTest, DirtyEvictionSpillsThroughStore)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     auto store = std::make_shared<RecordingStore>();
     cache.registerSpillStore(7, store);
 
-    for (std::int64_t i = 0; i < 24; ++i)
+    const auto capacity =
+        static_cast<std::int64_t>(cache.capacitySlots());
+    for (std::int64_t i = 0; i < capacity; ++i)
         ASSERT_TRUE(cache.insert({7, i}, i * 2.0, /*dirty=*/true));
     ASSERT_TRUE(cache.insert({7, 100}, -1.0, /*dirty=*/true));
 
-    // The evicted dirty entry (key 0, per the clock sweep) landed in
-    // the store with its context word stripped.
+    // The evicted dirty entry (key 0, the oldest) landed in the store
+    // with its context word stripped.
     const auto records = store->records();
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].first, Key{0});
@@ -299,10 +342,12 @@ TEST(ResultCacheTest, DirtyEvictionSpillsThroughStore)
 
 TEST(ResultCacheTest, CleanEvictionDoesNotSpill)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     auto store = std::make_shared<RecordingStore>();
     cache.registerSpillStore(7, store);
-    for (std::int64_t i = 0; i < 25; ++i)
+    const auto capacity =
+        static_cast<std::int64_t>(cache.capacitySlots());
+    for (std::int64_t i = 0; i <= capacity; ++i)
         cache.insert({7, i}, i * 2.0, /*dirty=*/false);
     EXPECT_GT(cache.stats().evictions, 0u);
     EXPECT_EQ(cache.stats().spills, 0u);
@@ -311,9 +356,11 @@ TEST(ResultCacheTest, CleanEvictionDoesNotSpill)
 
 TEST(ResultCacheTest, UnroutableDirtyEvictionIsDropped)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     // No store registered: dirty evictions drop without blocking.
-    for (std::int64_t i = 0; i < 30; ++i)
+    const auto capacity =
+        static_cast<std::int64_t>(cache.capacitySlots());
+    for (std::int64_t i = 0; i < capacity + 6; ++i)
         cache.insert({3, i}, i * 1.0, /*dirty=*/true);
     EXPECT_GT(cache.stats().evictions, 0u);
     EXPECT_EQ(cache.stats().spills, 0u);
@@ -321,7 +368,7 @@ TEST(ResultCacheTest, UnroutableDirtyEvictionIsDropped)
 
 TEST(ResultCacheTest, FlushDirtyPersistsOnceAndMarksClean)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     auto store = std::make_shared<RecordingStore>();
     cache.registerSpillStore(7, store);
 
@@ -340,7 +387,7 @@ TEST(ResultCacheTest, FlushDirtyPersistsOnceAndMarksClean)
 
 TEST(ResultCacheTest, CleanInsertOverDirtyClearsDirtyBit)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     auto store = std::make_shared<RecordingStore>();
     cache.registerSpillStore(7, store);
     ASSERT_TRUE(cache.insert({7, 1}, 3.5, /*dirty=*/true));
@@ -350,29 +397,9 @@ TEST(ResultCacheTest, CleanInsertOverDirtyClearsDirtyBit)
     EXPECT_TRUE(store->records().empty());
 }
 
-TEST(ResultCacheTest, PendingSentinelValueIsCanonicalised)
-{
-    ResultCache cache(oneGroupConfig());
-    const double sentinel =
-        std::bit_cast<double>(cache::kPendingBits);
-    ASSERT_TRUE(std::isnan(sentinel));
-    ASSERT_TRUE(cache.insert({1, 1}, sentinel, false));
-    double value = 0.0;
-    ASSERT_TRUE(cache.lookup({1, 1}, &value));
-    EXPECT_TRUE(std::isnan(value));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(value), cache::kNanBits);
-
-    const auto got = cache.getOrCompute(
-        {1, 2}, [&] { return sentinel; }, false);
-    EXPECT_EQ(got.outcome, Outcome::Computed);
-    EXPECT_TRUE(std::isnan(got.value));
-    ASSERT_TRUE(cache.lookup({1, 2}, &value));
-    EXPECT_TRUE(std::isnan(value));
-}
-
 TEST(ResultCacheTest, NegativeZeroAndNanValuesRoundTrip)
 {
-    ResultCache cache(oneGroupConfig());
+    ResultCache cache(smallConfig());
     ASSERT_TRUE(cache.insert({1, 1}, -0.0, false));
     ASSERT_TRUE(cache.insert({1, 2}, std::nan(""), false));
     double value = 1.0;
@@ -383,9 +410,40 @@ TEST(ResultCacheTest, NegativeZeroAndNanValuesRoundTrip)
     EXPECT_TRUE(std::isnan(value));
 }
 
+// The table once reserved this NaN payload as its in-flight marker and
+// rewrote it to the quiet NaN on insert. In-flight state now lives
+// beside the value, so the canonical stored form of every value,
+// this one included, is its own bit pattern.
+TEST(ResultCacheTest, PendingSentinelValueIsCanonicalised)
+{
+    ResultCache cache(smallConfig());
+    constexpr std::uint64_t kPayload = 0xFFF8'0000'5050'4D01ULL;
+    const double sentinel = std::bit_cast<double>(kPayload);
+    ASSERT_TRUE(std::isnan(sentinel));
+    ASSERT_TRUE(cache.insert({1, 1}, sentinel, false));
+    double value = 0.0;
+    ASSERT_TRUE(cache.lookup({1, 1}, &value));
+    EXPECT_TRUE(std::isnan(value));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(value), kPayload);
+
+    const auto got =
+        cache.getOrCompute({1, 2}, [&] { return sentinel; }, false);
+    EXPECT_EQ(got.outcome, Outcome::Computed);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value), kPayload);
+    ASSERT_TRUE(cache.lookup({1, 2}, &value));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(value), kPayload);
+    // A stored sentinel is a finished value, not a claim: a second
+    // getOrCompute hits it without running the compute.
+    const auto again = cache.getOrCompute(
+        {1, 2}, [&]() -> double { throw std::logic_error("recomputed"); },
+        false);
+    EXPECT_EQ(again.outcome, Outcome::Hit);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.value), kPayload);
+}
+
 TEST(ResultCacheTest, KeyWidthIsEnforced)
 {
-    ResultCache cache(oneGroupConfig(3));
+    ResultCache cache(smallConfig(3));
     double value = 0.0;
     EXPECT_THROW(cache.lookup({1, 2}, &value), std::invalid_argument);
     EXPECT_THROW(cache.insert({1, 2, 3, 4}, 1.0, false),
@@ -396,17 +454,6 @@ TEST(ResultCacheTest, KeyWidthIsEnforced)
     EXPECT_THROW(ResultCache(CacheConfig{}), std::invalid_argument);
 }
 
-TEST(ResultCacheTest, ShardCountAdaptsToTinyBudgets)
-{
-    CacheConfig config;
-    config.key_words = 2;
-    config.budget_bytes = 1; // one group total
-    config.shards = 8;       // more shards than groups
-    ResultCache cache(config);
-    EXPECT_EQ(cache.shardCount(), 1u);
-    EXPECT_EQ(cache.capacitySlots(), 24u);
-}
-
 TEST(ResultCacheTest, EnvKnobsParseAndFallBack)
 {
     ::setenv("PPM_CACHE_MB", "3", 1);
@@ -415,13 +462,6 @@ TEST(ResultCacheTest, EnvKnobsParseAndFallBack)
     EXPECT_EQ(cache::budgetBytesFromEnv(16), 16u << 20);
     ::unsetenv("PPM_CACHE_MB");
     EXPECT_EQ(cache::budgetBytesFromEnv(16), 16u << 20);
-
-    ::setenv("PPM_CACHE_SHARDS", "4", 1);
-    EXPECT_EQ(cache::shardsFromEnv(), 4u);
-    ::setenv("PPM_CACHE_SHARDS", "-2", 1);
-    EXPECT_EQ(cache::shardsFromEnv(), 0u);
-    ::unsetenv("PPM_CACHE_SHARDS");
-    EXPECT_EQ(cache::shardsFromEnv(), 0u);
 }
 
 } // namespace

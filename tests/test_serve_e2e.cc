@@ -6,8 +6,9 @@
  * SimServer, or a RemoteOracle against a 4-worker SimServer; an
  * unreachable server degrades transparently to local evaluation; a
  * server SIGKILLed mid-batch is retried and the batch still completes
- * with correct values; and a restarted server warm-starts from its
- * ResultArchive with zero new simulations.
+ * with correct values; a restarted server warm-starts from its
+ * ResultArchive with zero new simulations; and stopping a server
+ * flushes the sibling-metric results it cached to their archives.
  */
 
 #include <gtest/gtest.h>
@@ -388,6 +389,68 @@ TEST(ServeE2E, RestartedServerWarmStartsFromArchive)
         EXPECT_EQ(server.totalEvaluations(), 0u)
             << "restarted server re-simulated archived results";
         EXPECT_EQ(remote.evaluations(), 0u);
+        server.stop();
+    }
+    fs::remove_all(dir);
+}
+
+/** One EVAL request for mcf at the scenario's trace settings. */
+serve::EvalResponse
+evalOnce(const std::string &sock, core::Metric metric,
+         const std::vector<dspace::DesignPoint> &points)
+{
+    serve::EvalRequest req;
+    req.benchmark = "mcf";
+    req.metric = metric;
+    req.trace_length = kTraceLen;
+    req.warmup = kWarmup;
+    req.points = points;
+    serve::FdGuard conn = serve::connectUnix(sock, 1000);
+    serve::writeFrame(conn.get(), serve::encodeEvalRequest(req), 60'000);
+    const serve::Frame reply = serve::readFrame(conn.get(), 60'000);
+    EXPECT_EQ(reply.type, serve::MsgType::EvalResponse);
+    return serve::parseEvalResponse(reply.payload);
+}
+
+/**
+ * A CPI simulation also caches the point's EPI and ED2P values, dirty:
+ * only the EPI oracle's archive can make the EPI ones durable. Once an
+ * EPI oracle exists, stopping the server must flush them there, so a
+ * restarted server answers EPI at those points without simulating.
+ */
+TEST(ServeE2E, StopFlushesSiblingMetricsToTheirArchive)
+{
+    Scenario &s = scenario();
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("ppm_e2e_flush_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const std::string sock = uniqueSocket("flush");
+    const std::vector<dspace::DesignPoint> p(s.batch.begin(),
+                                             s.batch.begin() + 6);
+    const std::vector<dspace::DesignPoint> q(s.batch.begin() + 6,
+                                             s.batch.begin() + 8);
+    {
+        serve::SimServer server(serverOptions(sock, 2, dir.string()));
+        server.start();
+        EXPECT_EQ(evalOnce(sock, core::Metric::Cpi, p).fresh_evaluations,
+                  p.size());
+        // Opens the EPI archive: the spill route of P's EPI entries.
+        EXPECT_EQ(evalOnce(sock, core::Metric::EnergyPerInst, q)
+                      .fresh_evaluations,
+                  q.size());
+        server.stop();
+    }
+    {
+        serve::SimServer server(serverOptions(sock, 2, dir.string()));
+        server.start();
+        const serve::EvalResponse epi =
+            evalOnce(sock, core::Metric::EnergyPerInst, p);
+        EXPECT_EQ(epi.fresh_evaluations, 0u)
+            << "EPI values priced by the CPI run died with the server";
+        core::SimulatorOracle local(s.space, s.trace, simOptions(),
+                                    core::Metric::EnergyPerInst);
+        EXPECT_EQ(epi.values, local.evaluateAll(p));
         server.stop();
     }
     fs::remove_all(dir);

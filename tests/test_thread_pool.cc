@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the ppm::util thread pool and the parallelFor /
  * parallelMap helpers: lifecycle, range shapes, exception propagation,
- * nested submission, and a tasks >> threads stress run.
+ * nested submission, CallerWaitsScope, and a tasks >> threads stress
+ * run.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hh"
@@ -122,6 +124,29 @@ TEST(ThreadPool, NestedSubmissionRunsInlineWithoutDeadlock)
     EXPECT_FALSE(util::ThreadPool::insideTask());
     for (const auto &c : counts)
         EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ThreadPool, CallerWaitsScopeLeavesEveryItemToWorkers)
+{
+    util::ThreadPool pool(3);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const std::size_t n : {1u, 2u, 64u}) {
+        std::vector<std::thread::id> ran(n);
+        {
+            util::CallerWaitsScope waits;
+            pool.forEach(n, [&](std::size_t i) {
+                ran[i] = std::this_thread::get_id();
+            });
+        }
+        for (const std::thread::id id : ran)
+            EXPECT_NE(id, caller) << "n=" << n;
+    }
+    // The scope is gone: a single item runs inline again.
+    std::thread::id ran_on;
+    pool.forEach(1, [&](std::size_t) {
+        ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ThreadPool, StressManyMoreTasksThanThreads)

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/oracle.hh"
 #include "dspace/paper_space.hh"
 #include "linreg/model_selection.hh"
 #include "math/rng.hh"
@@ -154,19 +155,16 @@ main(int argc, char **argv)
             std::vector<dspace::DesignPoint> points;
             std::vector<double> ys;
             if (!archive_path.empty()) {
-                // Archive keys are the memo-cache keys: each coordinate
-                // stored as llround(value * 1e6); invert to raw points.
+                // Archive keys are the memo-cache keys; invert them
+                // to raw points.
                 const std::string context =
-                    benchmark + "|t" + std::to_string(trace_length) +
-                    "|w" + std::to_string(warmup) + "|" +
-                    core::metricName(metric);
+                    serve::ResultArchive::contextFor(
+                        benchmark, trace_length, warmup, metric);
                 serve::ResultArchive archive(archive_path, context);
                 archive.load([&](const core::ResultStore::Key &key,
                                  double value) {
-                    dspace::DesignPoint point(key.size());
-                    for (std::size_t d = 0; d < key.size(); ++d)
-                        point[d] =
-                            static_cast<double>(key[d]) / 1e6;
+                    dspace::DesignPoint point =
+                        core::SimulatorOracle::pointFromKey(key);
                     if (point.size() != space.size() ||
                         !space.contains(point))
                         return; // foreign or out-of-space record

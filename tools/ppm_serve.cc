@@ -37,7 +37,8 @@
  * error degrades past --drift-threshold times its training-time CV
  * error fires a one-shot model_drift event (see drift_monitor.hh).
  *
- * Stops cleanly on SIGINT/SIGTERM.
+ * Stops cleanly on SIGINT/SIGTERM, flushing the cached results an
+ * archive has not yet persisted (sibling metrics of each simulation).
  */
 
 #include <csignal>
