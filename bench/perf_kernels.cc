@@ -748,7 +748,7 @@ prefilledResultCache()
         cache::ResultCache::Key key;
         for (std::uint64_t i = 0; i < kCacheBenchEntries; ++i) {
             benchKeyFor(i, key);
-            table.insert(key, static_cast<double>(i) * 0.5, false);
+            table.insert(key, static_cast<double>(i) * 0.5);
         }
         return true;
     }();
@@ -800,7 +800,7 @@ BM_CacheInsert(benchmark::State &state)
     cache::ResultCache::Key key;
     for (auto _ : state) {
         benchKeyFor(i++, key);
-        table.insert(key, static_cast<double>(i) * 0.25, false);
+        table.insert(key, static_cast<double>(i) * 0.25);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));

@@ -1,7 +1,6 @@
 #include "cache/result_cache.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -65,7 +64,7 @@ ResultCache::checkWidth(const Key &key) const
 }
 
 bool
-ResultCache::evictOne(std::vector<Spilled> &spilled)
+ResultCache::evictOne()
 {
     // Second chance over insertion order: a referenced entry loses its
     // bit and moves to the back; the oldest settled, unreferenced
@@ -75,11 +74,6 @@ ResultCache::evictOne(std::vector<Spilled> &spilled)
         Slot *oldest = clock_.front();
         Entry &entry = oldest->second;
         if (!entry.pending && !entry.referenced) {
-            if (entry.dirty) {
-                if (auto store = storeFor(oldest->first.front()))
-                    spilled.push_back(
-                        {std::move(store), oldest->first, entry.value});
-            }
             erase(oldest);
             evictions_.add(1);
             OBS_STATIC_COUNTER(evict_counter, "cache.evict");
@@ -93,10 +87,10 @@ ResultCache::evictOne(std::vector<Spilled> &spilled)
 }
 
 ResultCache::Slot *
-ResultCache::place(const Key &key, std::vector<Spilled> &spilled)
+ResultCache::place(const Key &key)
 {
     while (entries_.size() >= capacity_)
-        if (!evictOne(spilled))
+        if (!evictOne())
             return nullptr;
     Slot *slot = &*entries_.try_emplace(key).first;
     slot->second.order = clock_.insert(clock_.end(), slot);
@@ -108,25 +102,6 @@ ResultCache::erase(Slot *slot)
 {
     clock_.erase(slot->second.order);
     entries_.erase(entries_.find(slot->first));
-}
-
-std::shared_ptr<core::ResultStore>
-ResultCache::storeFor(std::int64_t ctx_word) const
-{
-    const auto it = stores_.find(ctx_word);
-    return it != stores_.end() ? it->second : nullptr;
-}
-
-void
-ResultCache::spill(const std::vector<Spilled> &spilled)
-{
-    for (const Spilled &entry : spilled) {
-        entry.store->append(Key(entry.key.begin() + 1, entry.key.end()),
-                            entry.value);
-        spills_.add(1);
-        OBS_STATIC_COUNTER(spill_counter, "cache.spill");
-        OBS_ADD(spill_counter, 1);
-    }
 }
 
 bool
@@ -157,11 +132,9 @@ ResultCache::lookup(const Key &key, double *out) const
 
 ResultCache::GetResult
 ResultCache::getOrCompute(const Key &key,
-                          const std::function<double()> &compute,
-                          bool publish_dirty)
+                          const std::function<double()> &compute)
 {
     checkWidth(key);
-    std::vector<Spilled> spilled;
     Slot *claimed = nullptr;
     {
         OBS_SPAN("cache.lookup");
@@ -188,7 +161,7 @@ ResultCache::getOrCompute(const Key &key,
             waited = true;
             settled_.wait(lock);
         }
-        claimed = place(key, spilled);
+        claimed = place(key);
         if (claimed != nullptr)
             claimed->second.pending = true;
     }
@@ -205,7 +178,6 @@ ResultCache::getOrCompute(const Key &key,
     // erases it: the pointer stays valid without the lock.
     double value = 0.0;
     try {
-        spill(spilled);
         value = compute();
     } catch (...) {
         {
@@ -218,7 +190,6 @@ ResultCache::getOrCompute(const Key &key,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         claimed->second.value = value;
-        claimed->second.dirty = publish_dirty;
         claimed->second.pending = false;
     }
     settled_.notify_all();
@@ -229,68 +200,28 @@ ResultCache::getOrCompute(const Key &key,
 }
 
 bool
-ResultCache::insert(const Key &key, double value, bool dirty)
+ResultCache::insert(const Key &key, double value)
 {
     checkWidth(key);
-    std::vector<Spilled> spilled;
     bool placed = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            // Present or in flight (and then computing this very
-            // value: results are deterministic per key). A clean
-            // insert vouches that a published value is durable.
-            if (!dirty && !it->second.pending)
-                it->second.dirty = false;
-        } else if (Slot *slot = place(key, spilled)) {
-            slot->second.value = value;
-            slot->second.dirty = dirty;
-            placed = true;
+        // A present or in-flight key keeps its entry: results are
+        // deterministic per key, so it holds (or will hold) this
+        // very value.
+        if (!entries_.contains(key)) {
+            if (Slot *slot = place(key)) {
+                slot->second.value = value;
+                placed = true;
+            }
         }
     }
-    spill(spilled);
     if (placed) {
         inserts_.add(1);
         OBS_STATIC_COUNTER(insert_counter, "cache.insert");
         OBS_ADD(insert_counter, 1);
     }
     return placed;
-}
-
-void
-ResultCache::registerSpillStore(std::int64_t ctx_word,
-                                std::shared_ptr<core::ResultStore> store)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    stores_[ctx_word] = std::move(store);
-}
-
-std::size_t
-ResultCache::flushDirty()
-{
-    std::vector<Spilled> dirty;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[key, entry] : entries_) {
-            if (!entry.dirty)
-                continue;
-            if (auto store = storeFor(key.front()))
-                dirty.push_back({std::move(store), key, entry.value});
-        }
-    }
-    spill(dirty);
-    // Clear each dirty bit only if the entry still holds the value
-    // just persisted.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const Spilled &entry : dirty) {
-        const auto it = entries_.find(entry.key);
-        if (it != entries_.end() && !it->second.pending &&
-            std::bit_cast<std::uint64_t>(it->second.value) ==
-                std::bit_cast<std::uint64_t>(entry.value))
-            it->second.dirty = false;
-    }
-    return dirty.size();
 }
 
 ResultCache::Stats
@@ -302,7 +233,6 @@ ResultCache::stats() const
     out.dedup_waits = dedup_waits_.value();
     out.inserts = inserts_.value();
     out.evictions = evictions_.value();
-    out.spills = spills_.value();
     out.bypasses = bypasses_.value();
     return out;
 }

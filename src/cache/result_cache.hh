@@ -9,17 +9,14 @@
  * allocated as they are inserted, and each is charged a measured
  * upper bound on its heap bytes (map node, key words, clock node)
  * against the memory budget (PPM_CACHE_MB), which caps the entry
- * count. A full table evicts by second chance over insertion order;
- * dirty victims are spilled through the core::ResultStore registered
- * for their context word, so budget pressure never loses work that a
- * restart would otherwise re-simulate.
+ * count. A full table evicts by second chance over insertion order.
+ * The table is a plain memo: it holds no state that a restart needs,
+ * because the oracles write every result through to their archives
+ * before publishing it here (core/oracle.hh).
  *
- * Key layout contract: key[0] is the caller's context/routing word
- * (oracle context id and metric; 0 for single-context private
- * tables); the remaining words are the fixed-point design-point
- * rendering. Spills strip key[0] and append the bare point key to the
- * store registered for that word, matching the on-disk archive
- * format.
+ * Key layout contract: key[0] is the caller's context word (oracle
+ * context id and metric; 0 for single-context private tables); the
+ * remaining words are the fixed-point design-point rendering.
  */
 
 #ifndef PPM_CACHE_RESULT_CACHE_HH
@@ -31,12 +28,10 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
-#include "core/result_store.hh"
 #include "obs/metrics.hh"
 
 namespace ppm::cache {
@@ -65,7 +60,7 @@ enum class Outcome
 class ResultCache
 {
   public:
-    using Key = core::ResultStore::Key;
+    using Key = std::vector<std::int64_t>;
 
     /** @throws std::invalid_argument on a zero key width. */
     explicit ResultCache(const CacheConfig &config);
@@ -99,46 +94,25 @@ class ResultCache
      * The full memo protocol: return the published value for @p key,
      * or wait (on a condition variable) for a racing computation of
      * it, or claim the key and run @p compute exactly once, outside
-     * the lock, publishing its result. When @p publish_dirty is true
-     * the entry is marked not-yet-durable and will be spilled on
-     * eviction; pass false when @p compute already persisted the
-     * result (write-through). If the table holds only in-flight
-     * entries, computes without caching (Outcome::Bypassed).
+     * the lock, publishing its result. If the table holds only
+     * in-flight entries, computes without caching
+     * (Outcome::Bypassed).
      *
      * If @p compute throws, the claimed entry is erased, waiters are
      * woken (one of them claims the key), and the exception
      * propagates.
      */
     GetResult getOrCompute(const Key &key,
-                           const std::function<double()> &compute,
-                           bool publish_dirty);
+                           const std::function<double()> &compute);
 
     /**
      * Directly publish a known value (archive preloads, sibling
-     * metrics of one simulation). An existing published entry is left
-     * in place — except that inserting clean over a dirty entry
-     * clears the dirty bit (the caller vouches the value is durable).
+     * metrics of one simulation). An existing entry is left in place.
      * Returns true when the entry was newly placed; false when the
      * key was already present (or in flight), or the table was full
      * of in-flight entries and nothing could be placed.
      */
-    bool insert(const Key &key, double value, bool dirty);
-
-    /**
-     * Route spills of dirty entries whose key[0] == @p ctx_word
-     * through @p store. Entries with an unregistered context word are
-     * dropped on eviction (counted, never blocking).
-     */
-    void registerSpillStore(std::int64_t ctx_word,
-                            std::shared_ptr<core::ResultStore> store);
-
-    /**
-     * Spill every dirty entry through its registered store and mark
-     * it clean; entries without a store stay dirty. Returns the
-     * number spilled. A racing flush may append an entry twice, which
-     * preload deduplication absorbs.
-     */
-    std::size_t flushDirty();
+    bool insert(const Key &key, double value);
 
     struct Stats
     {
@@ -147,7 +121,6 @@ class ResultCache
         std::uint64_t dedup_waits = 0;
         std::uint64_t inserts = 0;
         std::uint64_t evictions = 0;
-        std::uint64_t spills = 0;
         std::uint64_t bypasses = 0;
     };
 
@@ -165,32 +138,18 @@ class ResultCache
     {
         double value = 0.0;
         bool pending = false; //!< claimed, compute still running
-        bool dirty = false;   //!< not yet durable: spill on eviction
         mutable bool referenced = true; //!< second-chance bit
         std::list<Slot *>::iterator order; //!< place in clock_
     };
 
-    /** A dirty entry copied out under the lock, persisted after. */
-    struct Spilled
-    {
-        std::shared_ptr<core::ResultStore> store;
-        Key key;
-        double value = 0.0;
-    };
-
     void checkWidth(const Key &key) const;
-    // These four run under mutex_. Evicted dirty entries with a spill
-    // route go to @p spilled, for spill() once the lock is released.
+    // These three run under mutex_.
 
     /** Evict one entry; false when every entry is in flight. */
-    bool evictOne(std::vector<Spilled> &spilled);
+    bool evictOne();
     /** Add absent @p key, evicting as needed; nullptr when it can't. */
-    Slot *place(const Key &key, std::vector<Spilled> &spilled);
+    Slot *place(const Key &key);
     void erase(Slot *slot);
-    std::shared_ptr<core::ResultStore> storeFor(std::int64_t ctx_word) const;
-
-    /** Append each entry to its store, context word stripped. */
-    void spill(const std::vector<Spilled> &spilled);
 
     std::size_t key_words_;
     std::size_t entry_bytes_;
@@ -201,7 +160,6 @@ class ResultCache
     std::condition_variable settled_;
     std::map<Key, Entry> entries_;
     std::list<Slot *> clock_; //!< insertion order, oldest first
-    std::map<std::int64_t, std::shared_ptr<core::ResultStore>> stores_;
 
     // Per-table statistics; the matching process-wide cache.* obs
     // counters are bumped at the same call sites. Mutable: the const
@@ -211,7 +169,6 @@ class ResultCache
     obs::Counter dedup_waits_;
     obs::Counter inserts_;
     obs::Counter evictions_;
-    obs::Counter spills_;
     obs::Counter bypasses_;
 };
 

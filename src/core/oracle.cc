@@ -98,27 +98,33 @@ SimulatorOracle::attachSharedCache(
 void
 SimulatorOracle::attachStore(std::shared_ptr<ResultStore> store)
 {
-    ensureCache();
-    std::uint64_t loaded = 0;
-    const std::int64_t ctx =
-        cache::contextWord(context_id_, metricIndex(metric_));
-    store->load([&](const ResultStore::Key &bare, double value) {
-        ResultStore::Key key;
-        key.reserve(bare.size() + 1);
-        key.push_back(ctx);
-        key.insert(key.end(), bare.begin(), bare.end());
-        // Archived results are durable by definition: insert clean.
-        if (cache_->insert(key, value, /*dirty=*/false)) {
-            archived_.fetch_add(1, std::memory_order_relaxed);
-            ++loaded;
-        }
-    });
-    {
-        std::lock_guard<std::mutex> lock(store_mutex_);
-        store_ = std::move(store);
+    attachStore(metric_, std::move(store));
+}
+
+void
+SimulatorOracle::attachStore(Metric metric,
+                             std::shared_ptr<ResultStore> store)
+{
+    if (metric == metric_) {
+        ensureCache();
+        std::uint64_t loaded = 0;
+        const std::int64_t ctx =
+            cache::contextWord(context_id_, metricIndex(metric_));
+        store->load([&](const ResultStore::Key &bare, double value) {
+            ResultStore::Key key;
+            key.reserve(bare.size() + 1);
+            key.push_back(ctx);
+            key.insert(key.end(), bare.begin(), bare.end());
+            if (cache_->insert(key, value)) {
+                archived_.fetch_add(1, std::memory_order_relaxed);
+                ++loaded;
+            }
+        });
+        OBS_STATIC_COUNTER(preloaded, "oracle.preloaded");
+        OBS_ADD(preloaded, loaded);
     }
-    OBS_STATIC_COUNTER(preloaded, "oracle.preloaded");
-    OBS_ADD(preloaded, loaded);
+    std::lock_guard<std::mutex> lock(store_mutex_);
+    stores_[metricIndex(metric)] = std::move(store);
 }
 
 double
@@ -133,36 +139,36 @@ SimulatorOracle::simulatePoint(const dspace::DesignPoint &point,
     const sim::SimStats stats =
         sim::simulate(trace_, config, options_);
     const sim::PowerReport power = sim::computePower(config, stats);
-    const double values[3] = {stats.cpi(), power.epi(stats),
-                              power.ed2p(stats)};
-    const double value = values[metricIndex(metric_)];
-    // Archive before publishing: if the store cannot persist the
-    // result, fail the request rather than hand out a value that a
-    // replay would have to re-simulate.
-    std::shared_ptr<ResultStore> store;
+    const double values[kMetrics.size()] = {
+        stats.cpi(), power.epi(stats), power.ed2p(stats)};
+    // Archive every metric before publishing any: if a store cannot
+    // persist its value, fail the request rather than hand out a
+    // value that a replay would have to re-simulate.
+    std::array<std::shared_ptr<ResultStore>, kMetrics.size()> stores;
     {
         std::lock_guard<std::mutex> lock(store_mutex_);
-        store = store_;
+        stores = stores_;
     }
-    if (store)
-        store->append(ResultStore::Key(key.begin() + 1, key.end()),
-                      value);
-    // One simulation prices every metric: on a shared table, populate
+    const ResultStore::Key bare(key.begin() + 1, key.end());
+    for (std::size_t m = 0; m < stores.size(); ++m)
+        if (stores[m])
+            stores[m]->append(bare, values[m]);
+    // One simulation prices every metric: on a shared table, publish
     // the sibling-metric entries of this context so a sibling oracle
     // (same design-space config, different Metric) never re-simulates
-    // this point. Siblings are dirty — durability belongs to *their*
-    // archives, reached via their registered spill routes.
+    // this point.
     if (shared_cache_) {
-        for (int m = 0; m < 3; ++m) {
-            if (m == metricIndex(metric_))
+        for (const Metric sibling : kMetrics) {
+            if (sibling == metric_)
                 continue;
-            ResultStore::Key sibling = key;
-            sibling.front() = cache::contextWord(context_id_, m);
-            cache_->insert(sibling, values[m], /*dirty=*/true);
+            const int m = metricIndex(sibling);
+            ResultStore::Key sibling_key = key;
+            sibling_key.front() = cache::contextWord(context_id_, m);
+            cache_->insert(sibling_key, values[m]);
         }
     }
     evaluations_.fetch_add(1, std::memory_order_relaxed);
-    return value;
+    return values[metricIndex(metric_)];
 }
 
 double
@@ -172,8 +178,7 @@ SimulatorOracle::cpi(const dspace::DesignPoint &point)
     const ResultStore::Key key = cacheKey(
         cache::contextWord(context_id_, metricIndex(metric_)), point);
     const cache::ResultCache::GetResult result = cache_->getOrCompute(
-        key, [&] { return simulatePoint(point, key); },
-        /*publish_dirty=*/false);
+        key, [&] { return simulatePoint(point, key); });
     switch (result.outcome) {
       case cache::Outcome::Hit: {
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -206,47 +211,12 @@ SimulatorOracle::evaluateAll(const std::vector<dspace::DesignPoint> &points)
 double
 FunctionOracle::cpi(const dspace::DesignPoint &point)
 {
-    const auto evaluate = [&] {
-        // Relaxed atomic: function oracles must stay safe under a
-        // parallel evaluateAll() override, matching SimulatorOracle.
-        evaluations_.fetch_add(1, std::memory_order_relaxed);
-        OBS_STATIC_COUNTER(fn_evals, "oracle.fn_evals");
-        OBS_ADD(fn_evals, 1);
-        return fn_(point);
-    };
-    if (!cache_)
-        return evaluate();
-    return cache_
-        ->getOrCompute(SimulatorOracle::cacheKey(ctx_word_, point),
-                       evaluate, write_behind_)
-        .value;
-}
-
-void
-FunctionOracle::attachCache(std::shared_ptr<cache::ResultCache> cache,
-                            std::shared_ptr<ResultStore> store,
-                            std::int64_t context_id)
-{
-    cache_ = std::move(cache);
-    ctx_word_ = cache::contextWord(context_id, 0);
-    write_behind_ = store != nullptr;
-    if (!store)
-        return;
-    cache_->registerSpillStore(ctx_word_, store);
-    store->load([&](const ResultStore::Key &bare, double value) {
-        ResultStore::Key key;
-        key.reserve(bare.size() + 1);
-        key.push_back(ctx_word_);
-        key.insert(key.end(), bare.begin(), bare.end());
-        if (cache_->insert(key, value, /*dirty=*/false))
-            archived_.fetch_add(1, std::memory_order_relaxed);
-    });
-}
-
-std::size_t
-FunctionOracle::flushDirty()
-{
-    return cache_ ? cache_->flushDirty() : 0;
+    // Relaxed atomic: function oracles must stay safe under a
+    // parallel evaluateAll() override, matching SimulatorOracle.
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    OBS_STATIC_COUNTER(fn_evals, "oracle.fn_evals");
+    OBS_ADD(fn_evals, 1);
+    return fn_(point);
 }
 
 } // namespace ppm::core

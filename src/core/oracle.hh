@@ -6,14 +6,19 @@
  * fast tests of the model-building machinery.
  *
  * Memoization is delegated to cache::ResultCache (src/cache/), the
- * budgeted memo table: oracles render design points to fixed-point
- * keys (SimulatorOracle::cacheKey), prefix them with a context word,
- * and run the table's exactly-once getOrCompute protocol.
+ * budgeted memo table: the simulator oracle renders design points to
+ * fixed-point keys (SimulatorOracle::cacheKey), prefixes them with a
+ * context word, and runs the table's exactly-once getOrCompute
+ * protocol. Durability is the oracle's alone: every value a
+ * simulation prices is written through to its metric's store, when
+ * one is attached, before any of them is published, so the table
+ * never holds the only copy of an archived value.
  */
 
 #ifndef PPM_CORE_ORACLE_HH
 #define PPM_CORE_ORACLE_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -86,6 +91,10 @@ enum class Metric
 /** Short name of a Metric ("CPI", "EPI", "ED2P"). */
 std::string metricName(Metric metric);
 
+/** Every Metric, in metricIndex() order: one simulation prices all. */
+inline constexpr std::array<Metric, 3> kMetrics = {
+    Metric::Cpi, Metric::EnergyPerInst, Metric::EnergyDelaySquared};
+
 /** Zero-based index of @p metric, as packed into cache key words. */
 int metricIndex(Metric metric);
 
@@ -108,6 +117,11 @@ int metricIndex(Metric metric);
  * metric, and one simulation populates the sibling metrics of its
  * context (a CPI oracle's run also fills the EPI and ED2P entries),
  * so sibling-metric oracles never re-simulate a paid-for point.
+ *
+ * Each Metric has one store slot. A fresh simulation appends every
+ * metric's value to that metric's attached store before it publishes
+ * any of them (write-through), so with a store attached for each
+ * metric a killed process loses no paid-for simulation.
  *
  * Despite the interface name, the oracle can report any Metric; the
  * model-building machinery is agnostic to what response it models.
@@ -132,15 +146,17 @@ class SimulatorOracle : public CpiOracle
         const std::vector<dspace::DesignPoint> &points) override;
 
     /**
-     * Attach a persistent result store: every archived result is
-     * preloaded into the memo cache (so requesting it never simulates)
-     * and every fresh simulation is appended to the store *before*
-     * its value is published (write-through — a cached entry is
-     * always durable, so evicting it never needs a spill). Attach
+     * Attach the persistent store of @p metric's values (by default
+     * the oracle's own metric). Every fresh simulation appends its
+     * @p metric value to the store before publishing any value. The
+     * own metric's store is also preloaded into the memo cache, so
+     * requesting an archived result never simulates; a sibling
+     * metric's store is preloaded by that metric's oracle. Attach
      * before issuing requests; results simulated earlier by this
      * oracle are not retroactively archived.
      */
     void attachStore(std::shared_ptr<ResultStore> store);
+    void attachStore(Metric metric, std::shared_ptr<ResultStore> store);
 
     /**
      * Memoize through @p cache (shared with other oracles) instead of
@@ -154,7 +170,7 @@ class SimulatorOracle : public CpiOracle
     void attachSharedCache(std::shared_ptr<cache::ResultCache> cache,
                            std::int64_t context_id);
 
-    /** Results preloaded from the attached store. */
+    /** Results preloaded from the own metric's store. */
     std::uint64_t
     archivedResults() const
     {
@@ -217,7 +233,8 @@ class SimulatorOracle : public CpiOracle
     std::int64_t context_id_ = 0;
 
     std::mutex store_mutex_;
-    std::shared_ptr<ResultStore> store_;
+    /** Attached stores, indexed by metricIndex(). */
+    std::array<std::shared_ptr<ResultStore>, kMetrics.size()> stores_;
 
     std::atomic<std::uint64_t> evaluations_{0};
     std::atomic<std::uint64_t> cache_hits_{0};
@@ -227,13 +244,8 @@ class SimulatorOracle : public CpiOracle
 /**
  * Oracle defined by an arbitrary function of the raw design point.
  * Used by unit tests and by synthetic accuracy studies where ground
- * truth must be known exactly.
- *
- * By default every cpi() call invokes the function (no memo), keeping
- * evaluation counting exact for tests. attachCache() opts into
- * ResultCache memoization; with a store the oracle runs write-behind:
- * fresh results are published dirty, spilled to the store when budget
- * pressure evicts them, and flushDirty() persists the remainder.
+ * truth must be known exactly. Every cpi() call invokes the function
+ * (no memo), keeping evaluation counting exact for tests.
  */
 class FunctionOracle : public CpiOracle
 {
@@ -244,27 +256,6 @@ class FunctionOracle : public CpiOracle
 
     double cpi(const dspace::DesignPoint &point) override;
 
-    /**
-     * Memoize through @p cache (key width = design-point size + 1;
-     * entries keyed by cache::contextWord(@p context_id, 0)). When
-     * @p store is non-null the oracle preloads it, registers it as
-     * the spill route for its context word, and publishes fresh
-     * results dirty (write-behind).
-     */
-    void attachCache(std::shared_ptr<cache::ResultCache> cache,
-                     std::shared_ptr<ResultStore> store = nullptr,
-                     std::int64_t context_id = 0);
-
-    /** Spill still-dirty results through the attached store. */
-    std::size_t flushDirty();
-
-    /** Results preloaded from the attached store. */
-    std::uint64_t
-    archivedResults() const
-    {
-        return archived_.load(std::memory_order_relaxed);
-    }
-
     std::uint64_t
     evaluations() const override
     {
@@ -273,11 +264,7 @@ class FunctionOracle : public CpiOracle
 
   private:
     Fn fn_;
-    std::shared_ptr<cache::ResultCache> cache_;
-    std::int64_t ctx_word_ = 0;
-    bool write_behind_ = false;
     std::atomic<std::uint64_t> evaluations_{0};
-    std::atomic<std::uint64_t> archived_{0};
 };
 
 } // namespace ppm::core

@@ -1,9 +1,9 @@
 /**
  * @file
- * ResultStore: the persistent backing-store interface shared by the
- * memoizing oracles (core/oracle.hh) and the result cache
- * (cache/result_cache.hh). Split out of oracle.hh so the cache
- * subsystem can spill through it without a header cycle.
+ * ResultStore: the persistent backing-store interface of the
+ * memoizing oracles (core/oracle.hh); serve::ResultArchive is the
+ * on-disk implementation. The result cache never sees a store: the
+ * oracles write every value through before they cache it.
  */
 
 #ifndef PPM_CORE_RESULT_STORE_HH
@@ -16,13 +16,13 @@
 namespace ppm::core {
 
 /**
- * Persistent backing store for simulation results. A SimulatorOracle
- * with an attached store preloads every archived (design-point key →
- * value) pair into its memo cache at attach time and reports each
- * fresh simulation back through append(), so results survive the
- * process and are shared across concurrent processes. The result
- * cache additionally spills evicted not-yet-durable entries through
- * the same interface.
+ * Persistent backing store for simulation results of one metric. A
+ * SimulatorOracle preloads every archived (design-point key → value)
+ * pair of its own metric's store into its memo cache at attach time,
+ * and appends every metric value of a fresh simulation to that
+ * metric's attached store before publishing any of them, so results
+ * survive the process (a SIGKILL included) and are shared across
+ * concurrent processes.
  *
  * Implementations must make append() safe to call concurrently; the
  * canonical implementation is serve::ResultArchive (an append-only,

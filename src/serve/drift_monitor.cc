@@ -35,7 +35,7 @@ DriftMonitor::configure(const DriftOptions &options)
 
 void
 DriftMonitor::observeBatch(
-    const cache::ResultCache &cache, std::int64_t context_word,
+    const cache::ResultCache *cache, std::int64_t context_word,
     std::uint64_t model_version, double cv_error,
     const std::vector<dspace::DesignPoint> &points,
     const std::vector<double> &predicted)
@@ -65,11 +65,12 @@ DriftMonitor::observeBatch(
     // archive reload) — never a fresh simulation.
     std::vector<double> truths(picked.size(), 0.0);
     std::vector<bool> found(picked.size());
-    for (std::size_t k = 0; k < picked.size(); ++k)
-        found[k] = cache.lookup(
-            core::SimulatorOracle::cacheKey(context_word,
-                                            points[picked[k]]),
-            &truths[k]);
+    if (cache != nullptr)
+        for (std::size_t k = 0; k < picked.size(); ++k)
+            found[k] = cache->lookup(
+                core::SimulatorOracle::cacheKey(context_word,
+                                                points[picked[k]]),
+                &truths[k]);
 
     OBS_STATIC_COUNTER(sampled_counter, "model.drift.sampled");
     OBS_ADD(sampled_counter, picked.size());

@@ -3,10 +3,10 @@
  * Online model-drift monitoring for the prediction plane: a
  * deterministic 1-in-N sample of served PREDICT points is
  * shadow-checked against ground truth the serve plane already has —
- * the server's shared result cache (fed by live EvalRequests and the
- * archive spill/reload path) — so drift detection never runs a
- * duplicate simulation. Points whose truth is not cached are simply
- * not scored.
+ * the server's shared result cache (fed by live EvalRequests and by
+ * the archives a simulation context preloads when it is created) — so
+ * drift detection never runs a duplicate simulation. Points whose
+ * truth is not cached are simply not scored.
  *
  * Per snapshot version the monitor keeps streaming error statistics
  * (Welford mean/variance of relative error, a power-of-two residual
@@ -76,10 +76,11 @@ class DriftMonitor
      * probe @p cache for their ground truth (keys are the oracle memo
      * keys, core::SimulatorOracle::cacheKey(@p context_word, point))
      * and fold |predicted - truth| / |truth| into the stats of
-     * @p model_version. @p cv_error is the snapshot's training-time
-     * baseline (0 = unknown).
+     * @p model_version. A null @p cache holds no truth: the sampled
+     * points count, none is scored. @p cv_error is the snapshot's
+     * training-time baseline (0 = unknown).
      */
-    void observeBatch(const cache::ResultCache &cache,
+    void observeBatch(const cache::ResultCache *cache,
                       std::int64_t context_word,
                       std::uint64_t model_version, double cv_error,
                       const std::vector<dspace::DesignPoint> &points,

@@ -92,14 +92,6 @@ class ShardedClient
     const RemoteOptions &options() const { return options_; }
     std::size_t numEndpoints() const { return endpoints_.size(); }
 
-    /** True once @p endpoint_index exhausted its retries for good. */
-    bool
-    endpointDead(std::size_t endpoint_index) const
-    {
-        return socket_dead_[endpoint_index].load(
-            std::memory_order_relaxed);
-    }
-
     /**
      * One request/reply exchange against an endpoint, with the full
      * connect-timeout / retry / backoff / dead-latch schedule. Every

@@ -1,7 +1,6 @@
 #include "serve/sim_server.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -20,18 +19,6 @@
 #include "trace/trace_generator.hh"
 
 namespace ppm::serve {
-
-namespace {
-
-/** Request context key: one oracle (and archive file) per value. */
-std::string
-contextKey(const EvalRequest &req)
-{
-    return ResultArchive::contextFor(req.benchmark, req.trace_length,
-                                     req.warmup, req.metric);
-}
-
-} // namespace
 
 SimServer::SimServer(ServerOptions options)
     : options_(std::move(options)), space_(dspace::paperTrainSpace())
@@ -101,15 +88,6 @@ SimServer::stop()
     for (auto &worker : workers_)
         worker.join();
     workers_.clear();
-    // Sibling-metric results are cached dirty; persist the ones with
-    // an archive before their only copy goes away. stop() also runs
-    // from the destructor, so a failing archive is logged, not thrown.
-    try {
-        cache_->flushDirty();
-    } catch (const std::exception &e) {
-        obs::logEvent(obs::LogLevel::Warn, "serve", "flush_failed",
-                      {{"error", e.what()}});
-    }
     listen_fd_.reset();
     ::close(stop_pipe_[0]);
     ::close(stop_pipe_[1]);
@@ -122,79 +100,72 @@ SimServer::stop()
 std::uint64_t
 SimServer::totalEvaluations() const
 {
-    std::lock_guard<std::mutex> lock(backends_mutex_);
+    std::lock_guard<std::mutex> lock(contexts_mutex_);
     std::uint64_t total = 0;
-    for (const auto &[key, backend] : backends_)
-        total += backend->oracle->evaluations();
+    for (const auto &[key, context] : contexts_)
+        for (const auto &oracle : context->oracles)
+            total += oracle->evaluations();
     return total;
 }
 
-std::uint64_t
-SimServer::oracleCount() const
+const SimServer::SimContext *
+SimServer::findContext(const std::string &sim_key) const
 {
-    std::lock_guard<std::mutex> lock(backends_mutex_);
-    return backends_.size();
+    std::lock_guard<std::mutex> lock(contexts_mutex_);
+    const auto it = contexts_.find(sim_key);
+    return it != contexts_.end() ? it->second.get() : nullptr;
 }
 
-std::int64_t
-SimServer::contextIdFor(const std::string &sim_key)
+SimServer::SimContext &
+SimServer::contextFor(const EvalRequest &req)
 {
-    std::lock_guard<std::mutex> lock(backends_mutex_);
-    const auto [it, inserted] = sim_context_ids_.try_emplace(
-        sim_key, static_cast<std::int64_t>(sim_context_ids_.size()));
-    (void)inserted;
-    return it->second;
-}
-
-SimServer::Backend &
-SimServer::backendFor(const EvalRequest &req)
-{
-    const std::string key = contextKey(req);
-    std::lock_guard<std::mutex> lock(backends_mutex_);
-    auto it = backends_.find(key);
-    if (it != backends_.end())
+    const std::string key = ResultArchive::contextFor(
+        req.benchmark, req.trace_length, req.warmup);
+    std::lock_guard<std::mutex> lock(contexts_mutex_);
+    auto it = contexts_.find(key);
+    if (it != contexts_.end())
         return *it->second;
 
-    // First request for this context: generate the trace and build
-    // the oracle. Generation runs under the lock — concurrent
-    // requests for the same context must not race to create two
-    // oracles (and double-simulate).
+    // First request for this context: generate the trace, open the
+    // archives and build all three oracles. This runs under the lock,
+    // so concurrent requests cannot race to build a context twice
+    // (and double-simulate). Nothing reaches the shared table before
+    // every archive is open, so a failed context leaves no entries
+    // under the id the next context will take.
     const auto &profile = trace::profileByName(req.benchmark);
-    auto backend = std::make_unique<Backend>();
-    backend->trace = trace::generateTrace(
+    auto context = std::make_unique<SimContext>();
+    context->trace = trace::generateTrace(
         profile, static_cast<std::size_t>(req.trace_length));
+    context->id = static_cast<std::int64_t>(contexts_.size());
+    std::array<std::shared_ptr<ResultArchive>, core::kMetrics.size()>
+        archives;
+    if (!options_.archive_dir.empty())
+        for (const core::Metric metric : core::kMetrics)
+            archives[core::metricIndex(metric)] =
+                std::make_shared<ResultArchive>(
+                    options_.archive_dir + "/" +
+                        ResultArchive::fileNameFor(req.benchmark,
+                                                   req.trace_length,
+                                                   req.warmup, metric),
+                    ResultArchive::contextFor(req.benchmark,
+                                              req.trace_length,
+                                              req.warmup, metric));
     sim::SimOptions sim_options;
     sim_options.warmup_instructions = req.warmup;
-    backend->oracle = std::make_unique<core::SimulatorOracle>(
-        space_, backend->trace, sim_options, req.metric);
-    // All oracles memoize through the server's shared table; oracles
-    // differing only in Metric share a context id (keyed by the
-    // metric-free simulation context), so one simulation answers all
-    // three metrics of its simulation context.
-    const auto [ctx_it, ctx_inserted] = sim_context_ids_.try_emplace(
-        ResultArchive::contextFor(req.benchmark, req.trace_length,
-                                  req.warmup),
-        static_cast<std::int64_t>(sim_context_ids_.size()));
-    (void)ctx_inserted;
-    backend->oracle->attachSharedCache(cache_, ctx_it->second);
-    if (!options_.archive_dir.empty()) {
-        const std::string file =
-            options_.archive_dir + "/" +
-            ResultArchive::fileNameFor(req.benchmark, req.trace_length,
-                                       req.warmup, req.metric);
-        auto archive = std::make_shared<ResultArchive>(file, key);
-        // Sibling-metric entries for this context are published dirty
-        // by whichever oracle simulates; evicting them spills here.
-        cache_->registerSpillStore(
-            cache::contextWord(ctx_it->second,
-                               core::metricIndex(req.metric)),
-            archive);
-        backend->oracle->attachStore(std::move(archive));
+    for (const core::Metric metric : core::kMetrics) {
+        auto oracle = std::make_unique<core::SimulatorOracle>(
+            space_, context->trace, sim_options, metric);
+        oracle->attachSharedCache(cache_, context->id);
+        // Every oracle archives all three metrics it prices; each
+        // archive is preloaded by its own metric's oracle.
+        for (const core::Metric stored : core::kMetrics)
+            if (const auto &archive = archives[core::metricIndex(stored)])
+                oracle->attachStore(stored, archive);
+        context->oracles[core::metricIndex(metric)] = std::move(oracle);
     }
-    it = backends_.emplace(key, std::move(backend)).first;
-    if (options_.verbose)
-        std::fprintf(stderr, "ppm_serve: new oracle [%s]\n",
-                     key.c_str());
+    obs::logEvent(obs::LogLevel::Info, "serve", "new_context",
+                  {{"context", key}});
+    it = contexts_.emplace(key, std::move(context)).first;
     return *it->second;
 }
 
@@ -217,11 +188,12 @@ SimServer::handleRequest(const Frame &frame)
     OBS_SPAN("serve.request");
     OBS_STATIC_COUNTER(points_served, "serve.points");
     OBS_ADD(points_served, req.points.size());
-    Backend &backend = backendFor(req);
-    const std::uint64_t before = backend.oracle->evaluations();
+    core::SimulatorOracle &oracle =
+        *contextFor(req).oracles[core::metricIndex(req.metric)];
+    const std::uint64_t before = oracle.evaluations();
     EvalResponse resp;
-    resp.values = backend.oracle->evaluateAll(req.points);
-    resp.total_evaluations = backend.oracle->evaluations();
+    resp.values = oracle.evaluateAll(req.points);
+    resp.total_evaluations = oracle.evaluations();
     resp.fresh_evaluations = resp.total_evaluations - before;
     requests_.fetch_add(1, std::memory_order_relaxed);
     OBS_STATIC_COUNTER(requests_served, "serve.requests");
@@ -229,12 +201,6 @@ SimServer::handleRequest(const Frame &frame)
     obs::logEvent(obs::LogLevel::Info, "serve", "request_done",
                   {{"points", req.points.size()},
                    {"fresh", resp.fresh_evaluations}});
-    if (options_.verbose)
-        std::fprintf(stderr,
-                     "ppm_serve: [%s] %zu points, %llu fresh\n",
-                     contextKey(req).c_str(), req.points.size(),
-                     static_cast<unsigned long long>(
-                         resp.fresh_evaluations));
     return encodeEvalResponse(resp);
 }
 
@@ -262,25 +228,21 @@ SimServer::handlePredict(const Frame &frame)
     resp.values = predictWithSnapshot(*model, req.points, req.model);
     if (drift_.enabled() && req.model == ModelKind::Rbf) {
         // Shadow-check a deterministic sample of the served values
-        // against ground truth already in the shared cache; the
-        // context word is exactly what an EvalRequest for the
-        // snapshot's simulation context would memoize under.
-        const std::string sim_key = ResultArchive::contextFor(
-            model->benchmark, model->trace_length, model->warmup);
+        // against ground truth already in the shared cache, under the
+        // context word the snapshot's simulation context memoizes
+        // under. Before its first EvalRequest there is no truth.
+        const SimContext *context =
+            findContext(ResultArchive::contextFor(
+                model->benchmark, model->trace_length, model->warmup));
         drift_.observeBatch(
-            *cache_,
-            cache::contextWord(contextIdFor(sim_key),
-                               core::metricIndex(model->metric)),
+            context ? cache_.get() : nullptr,
+            context ? cache::contextWord(context->id,
+                                         core::metricIndex(model->metric))
+                    : 0,
             model->model_version, model->cv_error, req.points,
             resp.values);
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.verbose)
-        std::fprintf(stderr,
-                     "ppm_serve: predict v%llu, %zu points\n",
-                     static_cast<unsigned long long>(
-                         resp.model_version),
-                     req.points.size());
     return encodePredictResponse(resp);
 }
 
@@ -317,13 +279,6 @@ SimServer::handleModelPush(const Frame &frame)
         ack.model_version = model_host_.version();
         ack.message = e.what();
     }
-    if (options_.verbose)
-        std::fprintf(stderr, "ppm_serve: model push %s (v%llu)%s%s\n",
-                     ack.accepted ? "accepted" : "rejected",
-                     static_cast<unsigned long long>(
-                         ack.model_version),
-                     ack.message.empty() ? "" : ": ",
-                     ack.message.c_str());
     return encodeModelPushAck(ack);
 }
 
@@ -418,74 +373,44 @@ SimServer::serveConnection(int fd)
         const std::uint64_t slo_start = obs::monotonicNs();
 
         std::vector<std::uint8_t> reply;
-        switch (frame.type) {
-          case MsgType::Ping:
-            try {
+        try {
+            switch (frame.type) {
+              case MsgType::Ping:
                 reply = encodePong(parsePing(frame.payload));
-            } catch (const ProtocolError &e) {
-                reply = encodeError({e.what()});
-            }
-            break;
-          case MsgType::StatsRequest:
-            try {
+                break;
+              case MsgType::StatsRequest:
                 (void)parseStatsRequest(frame.payload);
                 reply = encodeStatsResponse(
                     obs::Registry::instance().snapshot());
-            } catch (const ProtocolError &e) {
-                reply = encodeError({e.what()});
-            }
-            break;
-          case MsgType::PredictRequest:
-            try {
+                break;
+              case MsgType::PredictRequest:
                 reply = handlePredict(frame);
-            } catch (const std::exception &e) {
-                // Point outside the trained space, wrong
-                // dimensionality, no linear baseline, ... — the
-                // client falls back to its own snapshot copy.
-                if (options_.verbose)
-                    std::fprintf(stderr, "ppm_serve: error: %s\n",
-                                 e.what());
-                reply = encodeError({e.what()});
-            }
-            break;
-          case MsgType::ModelInfoRequest:
-            try {
+                break;
+              case MsgType::ModelInfoRequest:
                 reply = handleModelInfo(frame);
-            } catch (const ProtocolError &e) {
-                reply = encodeError({e.what()});
-            }
-            break;
-          case MsgType::ModelPush:
-            try {
+                break;
+              case MsgType::ModelPush:
                 reply = handleModelPush(frame);
-            } catch (const ProtocolError &e) {
-                reply = encodeError({e.what()});
-            }
-            break;
-          case MsgType::EvalRequest:
-            try {
+                break;
+              case MsgType::EvalRequest:
                 reply = handleRequest(frame);
-            } catch (const std::exception &e) {
-                // Unknown benchmark, invalid configuration, archive
-                // failure, ... — reported to the client, which falls
-                // back to local simulation (where the same error
-                // surfaces as an exception).
-                if (options_.verbose)
-                    std::fprintf(stderr, "ppm_serve: error: %s\n",
-                                 e.what());
-                reply = encodeError({e.what()});
-            }
-            break;
-          case MsgType::TraceRequest:
-            try {
+                break;
+              case MsgType::TraceRequest:
                 reply = handleTrace(frame);
-            } catch (const ProtocolError &e) {
-                reply = encodeError({e.what()});
+                break;
+              default:
+                reply = encodeError({"unexpected message type"});
+                break;
             }
-            break;
-          default:
-            reply = encodeError({"unexpected message type"});
-            break;
+        } catch (const std::exception &e) {
+            // Malformed payload, unknown benchmark, point outside the
+            // trained space, archive failure, ... — reported to the
+            // client, which falls back to local evaluation (where the
+            // same error surfaces as an exception).
+            obs::logEvent(obs::LogLevel::Warn, "serve", "request_failed",
+                          {{"type", static_cast<unsigned>(frame.type)},
+                           {"error", e.what()}});
+            reply = encodeError({e.what()});
         }
         sloHistogramFor(frame.type).observe(obs::monotonicNs() -
                                             slo_start);

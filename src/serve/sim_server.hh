@@ -2,8 +2,9 @@
  * @file
  * SimServer: the process-level sharding backend. Listens on a
  * Unix-domain socket or a TCP endpoint (see transport.hh for the
- * spec grammar), owns one memoizing SimulatorOracle per
- * benchmark-trace context, and services EvalRequest batches from a
+ * spec grammar), keeps one record per simulation context (benchmark,
+ * trace length, warmup) holding the context's trace and one memoizing
+ * SimulatorOracle per Metric, and services EvalRequest batches from a
  * pool of worker threads (every worker accepts connections, so
  * num_workers requests proceed concurrently; each oracle additionally
  * fans its batch across the process-wide thread pool).
@@ -14,10 +15,11 @@
  * in (trace, config, options) and traces are regenerated from the
  * benchmark profile on the server side.
  *
- * With ServerOptions::archive_dir set, every oracle persists its
- * results through a ResultArchive, so simulations survive server
- * restarts and are shared between servers pointed at the same
- * directory.
+ * With ServerOptions::archive_dir set, a simulation context opens the
+ * ResultArchive of each of its three metrics, and every simulation
+ * writes all three values through to them before answering. So
+ * simulations survive server restarts, a SIGKILL included, and are
+ * shared between servers pointed at the same directory.
  *
  * The same server is also the prediction plane: with
  * ServerOptions::predict_snapshot and/or model_dir set it hosts a
@@ -30,6 +32,7 @@
 #ifndef PPM_SERVE_SIM_SERVER_HH
 #define PPM_SERVE_SIM_SERVER_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -71,8 +74,6 @@ struct ServerOptions
     int io_timeout_ms = 120'000;
     /** Reject requests asking for traces longer than this. */
     std::uint64_t max_trace_length = 50'000'000;
-    /** Log accepted requests and errors to stderr. */
-    bool verbose = false;
     /**
      * Model snapshot to serve PREDICT queries from; empty = no model
      * preloaded (one may still arrive via ModelPush or model_dir).
@@ -90,8 +91,8 @@ struct ServerOptions
     /**
      * Memory budget of the server's shared result cache in MiB;
      * 0 = PPM_CACHE_MB (or its built-in default). All the server's
-     * oracles memoize through this one table, so contexts that differ
-     * only in Metric share each other's simulations.
+     * oracles memoize through this one table, so the metric oracles
+     * of one simulation context share each other's simulations.
      */
     std::size_t cache_mb = 0;
     /**
@@ -121,16 +122,11 @@ class SimServer
 
     /**
      * Shut down: stop accepting, sever in-flight connections, join
-     * all workers, flush dirty cached results to their archives,
-     * unlink the socket path. Idempotent.
+     * all workers, unlink the socket path. Idempotent.
      */
     void stop();
 
     bool running() const { return started_; }
-    const std::string &socketPath() const
-    {
-        return options_.socket_path;
-    }
 
     /**
      * The endpoint actually bound, valid after start(). For a TCP
@@ -149,9 +145,6 @@ class SimServer
     /** Fresh simulations executed across all oracles. */
     std::uint64_t totalEvaluations() const;
 
-    /** Distinct (benchmark, trace, options, metric) oracles created. */
-    std::uint64_t oracleCount() const;
-
     /** Active model version (0 = no model hosted). */
     std::uint64_t modelVersion() const { return model_host_.version(); }
 
@@ -161,21 +154,31 @@ class SimServer
     /** The hot-swappable model slot (tests install models directly). */
     ModelHost &modelHost() { return model_host_; }
 
-    /** The shared result cache every backend memoizes through. */
+    /** The shared result cache every oracle memoizes through. */
     const cache::ResultCache &resultCache() const { return *cache_; }
 
     /** The PREDICT shadow-sampling drift monitor (tests inspect it). */
     const DriftMonitor &driftMonitor() const { return drift_; }
 
   private:
-    /** One benchmark-trace oracle and the trace backing it. */
-    struct Backend
+    /**
+     * One simulation context, created whole on its first EvalRequest:
+     * the trace, the cache context id its oracles share, and one
+     * oracle per Metric (indexed by core::metricIndex), each writing
+     * every metric through to the context's three archives.
+     */
+    struct SimContext
     {
         trace::Trace trace;
-        std::unique_ptr<core::SimulatorOracle> oracle;
+        std::int64_t id = 0;
+        std::array<std::unique_ptr<core::SimulatorOracle>,
+                   core::kMetrics.size()>
+            oracles;
     };
 
-    Backend &backendFor(const EvalRequest &req);
+    SimContext &contextFor(const EvalRequest &req);
+    /** The context named @p sim_key; nullptr before its first EVAL. */
+    const SimContext *findContext(const std::string &sim_key) const;
     void workerLoop();
     void serveConnection(int fd);
     std::vector<std::uint8_t> handleRequest(const Frame &frame);
@@ -183,8 +186,6 @@ class SimServer
     std::vector<std::uint8_t> handleModelInfo(const Frame &frame);
     std::vector<std::uint8_t> handleModelPush(const Frame &frame);
     std::vector<std::uint8_t> handleTrace(const Frame &frame);
-    /** Cache context id of a simulation context key (allocating). */
-    std::int64_t contextIdFor(const std::string &sim_key);
 
     ServerOptions options_;
     dspace::DesignSpace space_;
@@ -195,16 +196,11 @@ class SimServer
     std::atomic<bool> stopping_{false};
     bool started_ = false;
 
-    mutable std::mutex backends_mutex_;
-    std::map<std::string, std::unique_ptr<Backend>> backends_;
-    /**
-     * One table for every backend. Oracles sharing a simulation
-     * context (benchmark, trace length, warmup) get the same context
-     * id — differing only in Metric — so one oracle's simulation
-     * fills its siblings' entries.
-     */
+    /** Keyed by ResultArchive::contextFor(benchmark, length, warmup). */
+    mutable std::mutex contexts_mutex_;
+    std::map<std::string, std::unique_ptr<SimContext>> contexts_;
+    /** One table for every oracle; see SimContext. */
     std::shared_ptr<cache::ResultCache> cache_;
-    std::map<std::string, std::int64_t> sim_context_ids_;
 
     std::mutex conns_mutex_;
     std::set<int> conns_;

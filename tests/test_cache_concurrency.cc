@@ -1,16 +1,11 @@
 /**
  * @file
- * ResultCache contention-correctness suite: SIGKILL-then-restart
- * spill recovery (dirty entries evicted to a ResultArchive reload
- * with zero re-computation), N-threads-one-point dedup (exactly one
- * computation), eviction under concurrent lookups, budget enforcement
- * under parallel load, bit-equivalence of cached oracles against the
- * independent MutexMapCache across thread counts and private/shared
- * tables, and live cache.* counter exposure through the server's
- * STATS frame.
- *
- * The SIGKILL suite forks, so it is registered first — before any
- * test spins up pool threads in this binary.
+ * ResultCache contention-correctness suite: N-threads-one-point dedup
+ * (exactly one computation), eviction under concurrent lookups,
+ * budget enforcement under parallel load, bit-equivalence of memoized
+ * oracles against the independent MutexMapCache across thread counts
+ * and private/shared tables, and live cache.* counter exposure
+ * through the server's STATS frame.
  */
 
 #include <gtest/gtest.h>
@@ -18,15 +13,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "cache/result_cache.hh"
@@ -36,7 +28,6 @@
 #include "sampling/sample_gen.hh"
 #include "serve/protocol.hh"
 #include "serve/remote_oracle.hh"
-#include "serve/result_archive.hh"
 #include "serve/sim_server.hh"
 #include "serve/socket_io.hh"
 #include "trace/benchmark_profile.hh"
@@ -47,7 +38,6 @@
 
 namespace {
 
-namespace fs = std::filesystem;
 using namespace ppm;
 using cache::CacheConfig;
 using cache::MutexMapCache;
@@ -74,90 +64,6 @@ syntheticPoints(std::size_t n)
         points.push_back(
             {static_cast<double>(i), static_cast<double>(i % 7)});
     return points;
-}
-
-std::string
-scratchDir(const std::string &tag)
-{
-    const auto dir = fs::temp_directory_path() /
-                     ("ppm_cachecc_" + std::to_string(::getpid()) +
-                      "_" + tag);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-}
-
-/**
- * A write-behind FunctionOracle is SIGKILLed with dirty results in
- * its table: only what budget pressure already spilled to the archive
- * survives. A restarted oracle on the same archive must serve every
- * spilled point with zero re-computation and re-compute exactly the
- * rest — and the reloaded values are bit-identical.
- */
-TEST(CacheSpillRestart, SigkillThenRestartReloadsSpilledEntries)
-{
-    const std::string dir = scratchDir("sigkill");
-    const std::string archive_file = dir + "/fn.ppma";
-    const auto points = syntheticPoints(60);
-
-    int ready_pipe[2];
-    ASSERT_EQ(::pipe(ready_pipe), 0);
-    const pid_t pid = ::fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-        // Child: a table of a few dozen entries, so most of the 60
-        // dirty results are evicted — and therefore spilled — before
-        // the kill. No flushDirty(): whatever is still only in the
-        // table dies with the process.
-        ::close(ready_pipe[0]);
-        CacheConfig config;
-        config.key_words = 3;
-        config.budget_bytes = 4096;
-        auto cache = std::make_shared<ResultCache>(config);
-        auto store = std::make_shared<serve::ResultArchive>(
-            archive_file, "synthetic");
-        core::FunctionOracle oracle(syntheticCpi);
-        oracle.attachCache(cache, store);
-        for (const auto &p : points)
-            (void)oracle.cpi(p);
-        const char byte = 1;
-        (void)!::write(ready_pipe[1], &byte, 1);
-        for (;;)
-            ::pause(); // await the SIGKILL
-    }
-    ::close(ready_pipe[1]);
-    char byte = 0;
-    ASSERT_EQ(::read(ready_pipe[0], &byte, 1), 1);
-    ::close(ready_pipe[0]);
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
-
-    // Restart: a comfortable table, same archive. The spilled subset
-    // preloads; only the never-spilled remainder computes.
-    CacheConfig config;
-    config.key_words = 3;
-    config.budget_bytes = 1 << 20;
-    auto cache = std::make_shared<ResultCache>(config);
-    auto store = std::make_shared<serve::ResultArchive>(
-        archive_file, "synthetic");
-    core::FunctionOracle oracle(syntheticCpi);
-    oracle.attachCache(cache, store);
-
-    const std::uint64_t preloaded = oracle.archivedResults();
-    EXPECT_GT(preloaded, 0u) << "evictions must have spilled";
-    EXPECT_LT(preloaded, points.size())
-        << "entries never evicted must have died with the child";
-
-    const std::vector<double> values = oracle.cpiAll(points);
-    EXPECT_EQ(oracle.evaluations(), points.size() - preloaded)
-        << "every spilled entry must reload without re-computation";
-    for (std::size_t i = 0; i < points.size(); ++i)
-        EXPECT_EQ(values[i], syntheticCpi(points[i])) << "point " << i;
-
-    fs::remove_all(dir);
 }
 
 TEST(CacheContention, NThreadsOnePointComputeExactlyOnce)
@@ -188,8 +94,7 @@ TEST(CacheContention, NThreadsOnePointComputeExactlyOnce)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(200));
                     return 6.5;
-                },
-                false);
+                });
             values[t] = result.value;
             if (result.outcome == Outcome::Computed)
                 computed_outcomes.fetch_add(
@@ -212,20 +117,25 @@ TEST(CacheContention, FunctionOracleDedupsRacingThreads)
     CacheConfig config;
     config.key_words = 3;
     config.budget_bytes = 1 << 16;
+    ResultCache cache(config);
     core::FunctionOracle oracle([](const dspace::DesignPoint &p) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
         return syntheticCpi(p);
     });
-    oracle.attachCache(std::make_shared<ResultCache>(config));
 
     const dspace::DesignPoint point = {3.0, 4.0};
+    const Key key = core::SimulatorOracle::cacheKey(0, point);
     std::atomic<bool> go{false};
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t)
         threads.emplace_back([&] {
             while (!go.load(std::memory_order_acquire))
                 std::this_thread::yield();
-            EXPECT_EQ(oracle.cpi(point), syntheticCpi(point));
+            EXPECT_EQ(cache
+                          .getOrCompute(key,
+                                        [&] { return oracle.cpi(point); })
+                          .value,
+                      syntheticCpi(point));
         });
     go.store(true, std::memory_order_release);
     for (auto &thread : threads)
@@ -270,7 +180,7 @@ TEST(CacheContention, EvictionUnderConcurrentLookupStaysConsistent)
         });
     }
     for (std::int64_t i = 0; i < kKeys; ++i) {
-        cache.insert({2, i}, valueOf(i), false);
+        cache.insert({2, i}, valueOf(i));
         // Give the single-core CI box a chance to interleave the
         // readers with live evictions.
         if ((i & 0x3FF) == 0)
@@ -310,9 +220,8 @@ TEST(CacheContention, BudgetRespectedUnderParallelLoad)
         threads.emplace_back([&, t] {
             for (std::int64_t i = 0; i < 10'000; ++i) {
                 const std::int64_t k = t * 100'000 + i;
-                (void)cache.getOrCompute(
-                    {k, k * 3},
-                    [&] { return k * 0.5; }, false);
+                (void)cache.getOrCompute({k, k * 3},
+                                         [&] { return k * 0.5; });
             }
         });
     for (auto &thread : threads)
@@ -325,9 +234,9 @@ TEST(CacheContention, BudgetRespectedUnderParallelLoad)
 }
 
 /**
- * Bit-equivalence sweep: a cached FunctionOracle must return exactly
- * the values of the mutex-map baseline protocol for every thread
- * count, including repeated points (memo hits).
+ * Bit-equivalence sweep: a FunctionOracle memoized through the table
+ * must return exactly the values of the mutex-map baseline protocol
+ * for every thread count, including repeated points (memo hits).
  */
 TEST(CacheEquivalence, FunctionOracleMatchesMutexMapBaseline)
 {
@@ -353,12 +262,17 @@ TEST(CacheEquivalence, FunctionOracleMatchesMutexMapBaseline)
         CacheConfig config;
         config.key_words = 3;
         config.budget_bytes = 1 << 20;
+        ResultCache cache(config);
         core::FunctionOracle oracle(syntheticCpi);
-        oracle.attachCache(std::make_shared<ResultCache>(config));
         util::setGlobalThreads(threads);
         const std::vector<double> got = util::parallelMap(
-            points,
-            [&](const dspace::DesignPoint &p) { return oracle.cpi(p); });
+            points, [&](const dspace::DesignPoint &p) {
+                return cache
+                    .getOrCompute(
+                        core::SimulatorOracle::cacheKey(0, p),
+                        [&] { return oracle.cpi(p); })
+                    .value;
+            });
         ASSERT_EQ(got.size(), expected.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             ASSERT_EQ(got[i], expected[i])

@@ -4,9 +4,7 @@
  * outcomes (a waiter claims the key after a throwing compute, a table
  * full of in-flight entries bypasses), deterministic second-chance
  * eviction on a small table, budget enforcement and the measured
- * per-entry charge, dirty-entry spill through a recording
- * ResultStore, flushDirty semantics, exact value bit patterns, and
- * the env knob.
+ * per-entry charge, exact value bit patterns, and the env knob.
  */
 
 #include <gtest/gtest.h>
@@ -16,17 +14,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <malloc.h>
 
 #include "cache/result_cache.hh"
-#include "core/result_store.hh"
 
 namespace {
 
@@ -34,38 +28,7 @@ using namespace ppm;
 using cache::CacheConfig;
 using cache::Outcome;
 using cache::ResultCache;
-using Key = core::ResultStore::Key;
-
-/** In-memory ResultStore that records every append. */
-class RecordingStore : public core::ResultStore
-{
-  public:
-    void
-    load(const std::function<void(const Key &, double)> &sink) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[key, value] : records_)
-            sink(key, value);
-    }
-
-    void
-    append(const Key &key, double value) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        records_.emplace_back(key, value);
-    }
-
-    std::vector<std::pair<Key, double>>
-    records() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return records_;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::vector<std::pair<Key, double>> records_;
-};
+using Key = ResultCache::Key;
 
 /** Config for a table of a few dozen entries. */
 CacheConfig
@@ -93,7 +56,7 @@ TEST(ResultCacheTest, InsertAndLookupRoundTrip)
 
     for (std::int64_t i = 0; i < 100; ++i) {
         const Key key = {0, i, i * 7 + 1};
-        EXPECT_TRUE(cache.insert(key, i * 0.25, false));
+        EXPECT_TRUE(cache.insert(key, i * 0.25));
     }
     for (std::int64_t i = 0; i < 100; ++i) {
         const Key key = {0, i, i * 7 + 1};
@@ -109,7 +72,7 @@ TEST(ResultCacheTest, InsertAndLookupRoundTrip)
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().inserts, 100u);
     // Re-inserting an existing key is not a new placement.
-    EXPECT_FALSE(cache.insert({0, 0, 1}, 9.0, false));
+    EXPECT_FALSE(cache.insert({0, 0, 1}, 9.0));
     ASSERT_TRUE(cache.lookup({0, 0, 1}, &value));
     EXPECT_EQ(value, 0.0) << "first value wins";
 }
@@ -122,10 +85,10 @@ TEST(ResultCacheTest, GetOrComputeComputesExactlyOnce)
         ++computes;
         return 2.5;
     };
-    const auto first = cache.getOrCompute({1, 2}, compute, false);
+    const auto first = cache.getOrCompute({1, 2}, compute);
     EXPECT_EQ(first.outcome, Outcome::Computed);
     EXPECT_EQ(first.value, 2.5);
-    const auto second = cache.getOrCompute({1, 2}, compute, false);
+    const auto second = cache.getOrCompute({1, 2}, compute);
     EXPECT_EQ(second.outcome, Outcome::Hit);
     EXPECT_EQ(second.value, 2.5);
     EXPECT_EQ(computes, 1);
@@ -140,12 +103,11 @@ TEST(ResultCacheTest, GetOrComputeReleasesClaimOnThrow)
                      {4, 4},
                      []() -> double {
                          throw std::runtime_error("sim failed");
-                     },
-                     false),
+                     }),
                  std::runtime_error);
     // The failed claim is released: a retry computes fresh.
     const auto retry =
-        cache.getOrCompute({4, 4}, [] { return 1.25; }, false);
+        cache.getOrCompute({4, 4}, [] { return 1.25; });
     EXPECT_EQ(retry.outcome, Outcome::Computed);
     EXPECT_EQ(retry.value, 1.25);
 }
@@ -163,14 +125,13 @@ TEST(ResultCacheTest, WaiterClaimsKeyAfterThrowingCompute)
                              while (cache.stats().dedup_waits == 0)
                                  std::this_thread::yield();
                              throw std::runtime_error("sim failed");
-                         },
-                         false),
+                         }),
                      std::runtime_error);
     });
     while (!claimed.load())
         std::this_thread::yield();
     const auto waiter =
-        cache.getOrCompute({4, 4}, [] { return 1.25; }, false);
+        cache.getOrCompute({4, 4}, [] { return 1.25; });
     owner.join();
     EXPECT_EQ(waiter.outcome, Outcome::Computed);
     EXPECT_EQ(waiter.value, 1.25);
@@ -197,8 +158,7 @@ TEST(ResultCacheTest, TableFullOfInFlightEntriesBypasses)
                     while (!release.load())
                         std::this_thread::yield();
                     return 0.5;
-                },
-                false);
+                });
             EXPECT_EQ(got.outcome, Outcome::Computed);
         });
     while (cache.liveEntries() < capacity)
@@ -206,10 +166,10 @@ TEST(ResultCacheTest, TableFullOfInFlightEntriesBypasses)
 
     // Every entry is in flight: nothing can be evicted.
     const auto got =
-        cache.getOrCompute({2, 0}, [] { return 7.0; }, false);
+        cache.getOrCompute({2, 0}, [] { return 7.0; });
     EXPECT_EQ(got.outcome, Outcome::Bypassed);
     EXPECT_EQ(got.value, 7.0);
-    EXPECT_FALSE(cache.insert({2, 1}, 8.0, false));
+    EXPECT_FALSE(cache.insert({2, 1}, 8.0));
     EXPECT_EQ(cache.stats().bypasses, 1u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 
@@ -232,13 +192,13 @@ TEST(ResultCacheTest, SecondChanceEvictsUnreferencedFirst)
     const auto keyOf = [](std::int64_t i) { return Key{9, i}; };
 
     for (std::int64_t i = 0; i < capacity; ++i)
-        ASSERT_TRUE(cache.insert(keyOf(i), i * 1.5, false));
+        ASSERT_TRUE(cache.insert(keyOf(i), i * 1.5));
     EXPECT_EQ(cache.liveEntries(), cache.capacitySlots());
 
     // One entry more: every entry starts referenced (fresh inserts),
     // so the sweep spends all reference bits and takes the oldest
     // entry — key 0.
-    ASSERT_TRUE(cache.insert({10, 100}, -1.0, false));
+    ASSERT_TRUE(cache.insert({10, 100}, -1.0));
     double value = 0.0;
     EXPECT_FALSE(cache.lookup(keyOf(0), &value));
     EXPECT_EQ(cache.stats().evictions, 1u);
@@ -248,7 +208,7 @@ TEST(ResultCacheTest, SecondChanceEvictsUnreferencedFirst)
     // eviction must take key 12 — the oldest unreferenced entry.
     for (std::int64_t i = 1; i <= 11; ++i)
         ASSERT_TRUE(cache.lookup(keyOf(i), &value));
-    ASSERT_TRUE(cache.insert({10, 101}, -2.0, false));
+    ASSERT_TRUE(cache.insert({10, 101}, -2.0));
     EXPECT_FALSE(cache.lookup(keyOf(12), &value));
     for (std::int64_t i = 1; i <= 11; ++i)
         EXPECT_TRUE(cache.lookup(keyOf(i), &value)) << "key " << i;
@@ -269,7 +229,7 @@ TEST(ResultCacheTest, BudgetCapsFootprintAndOccupancy)
     const std::int64_t n =
         static_cast<std::int64_t>(cache.capacitySlots()) * 4;
     for (std::int64_t i = 0; i < n; ++i)
-        cache.insert({i, i * 3, i ^ 0x55, 7}, i * 0.5, false);
+        cache.insert({i, i * 3, i ^ 0x55, 7}, i * 0.5);
     EXPECT_EQ(cache.liveEntries(), cache.capacitySlots());
     EXPECT_LE(cache.footprintBytes(), config.budget_bytes);
     EXPECT_GT(cache.stats().evictions, 0u);
@@ -282,9 +242,9 @@ TEST(ResultCacheTest, BudgetBelowOneEntryCachesNothing)
     config.budget_bytes = 1;
     ResultCache cache(config);
     EXPECT_EQ(cache.capacitySlots(), 0u);
-    EXPECT_FALSE(cache.insert({1, 1}, 1.0, false));
+    EXPECT_FALSE(cache.insert({1, 1}, 1.0));
     const auto got =
-        cache.getOrCompute({1, 2}, [] { return 2.0; }, false);
+        cache.getOrCompute({1, 2}, [] { return 2.0; });
     EXPECT_EQ(got.outcome, Outcome::Bypassed);
     EXPECT_EQ(got.value, 2.0);
     EXPECT_EQ(cache.liveEntries(), 0u);
@@ -298,7 +258,7 @@ TEST(ResultCacheTest, BudgetBelowOneEntryCachesNothing)
 TEST(ResultCacheTest, EntryChargeBoundsHeapBytes)
 {
     // Register the process-wide cache.* counters before measuring.
-    ResultCache(smallConfig()).insert({0, 0}, 0.0, false);
+    ResultCache(smallConfig()).insert({0, 0}, 0.0);
     for (const std::size_t key_words : {2u, 3u, 10u, 17u}) {
         CacheConfig config;
         config.key_words = key_words;
@@ -310,7 +270,7 @@ TEST(ResultCacheTest, EntryChargeBoundsHeapBytes)
             keys.emplace_back(key_words, i * 31 + 7);
         const std::size_t before = ::mallinfo2().uordblks;
         for (const Key &key : keys)
-            cache.insert(key, 0.5, false);
+            cache.insert(key, 0.5);
         const std::size_t grown = ::mallinfo2().uordblks - before;
         ASSERT_EQ(cache.liveEntries(), keys.size());
         EXPECT_LE(grown, cache.footprintBytes())
@@ -318,90 +278,11 @@ TEST(ResultCacheTest, EntryChargeBoundsHeapBytes)
     }
 }
 
-TEST(ResultCacheTest, DirtyEvictionSpillsThroughStore)
-{
-    ResultCache cache(smallConfig());
-    auto store = std::make_shared<RecordingStore>();
-    cache.registerSpillStore(7, store);
-
-    const auto capacity =
-        static_cast<std::int64_t>(cache.capacitySlots());
-    for (std::int64_t i = 0; i < capacity; ++i)
-        ASSERT_TRUE(cache.insert({7, i}, i * 2.0, /*dirty=*/true));
-    ASSERT_TRUE(cache.insert({7, 100}, -1.0, /*dirty=*/true));
-
-    // The evicted dirty entry (key 0, the oldest) landed in the store
-    // with its context word stripped.
-    const auto records = store->records();
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].first, Key{0});
-    EXPECT_EQ(records[0].second, 0.0);
-    EXPECT_EQ(cache.stats().spills, 1u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ResultCacheTest, CleanEvictionDoesNotSpill)
-{
-    ResultCache cache(smallConfig());
-    auto store = std::make_shared<RecordingStore>();
-    cache.registerSpillStore(7, store);
-    const auto capacity =
-        static_cast<std::int64_t>(cache.capacitySlots());
-    for (std::int64_t i = 0; i <= capacity; ++i)
-        cache.insert({7, i}, i * 2.0, /*dirty=*/false);
-    EXPECT_GT(cache.stats().evictions, 0u);
-    EXPECT_EQ(cache.stats().spills, 0u);
-    EXPECT_TRUE(store->records().empty());
-}
-
-TEST(ResultCacheTest, UnroutableDirtyEvictionIsDropped)
-{
-    ResultCache cache(smallConfig());
-    // No store registered: dirty evictions drop without blocking.
-    const auto capacity =
-        static_cast<std::int64_t>(cache.capacitySlots());
-    for (std::int64_t i = 0; i < capacity + 6; ++i)
-        cache.insert({3, i}, i * 1.0, /*dirty=*/true);
-    EXPECT_GT(cache.stats().evictions, 0u);
-    EXPECT_EQ(cache.stats().spills, 0u);
-}
-
-TEST(ResultCacheTest, FlushDirtyPersistsOnceAndMarksClean)
-{
-    ResultCache cache(smallConfig());
-    auto store = std::make_shared<RecordingStore>();
-    cache.registerSpillStore(7, store);
-
-    for (std::int64_t i = 0; i < 5; ++i)
-        ASSERT_TRUE(cache.insert({7, i}, i + 0.5, /*dirty=*/true));
-    EXPECT_EQ(cache.flushDirty(), 5u);
-    EXPECT_EQ(store->records().size(), 5u);
-    // Everything is clean now: a second flush finds nothing.
-    EXPECT_EQ(cache.flushDirty(), 0u);
-    EXPECT_EQ(store->records().size(), 5u);
-    // The entries themselves are still cached.
-    double value = 0.0;
-    ASSERT_TRUE(cache.lookup({7, 2}, &value));
-    EXPECT_EQ(value, 2.5);
-}
-
-TEST(ResultCacheTest, CleanInsertOverDirtyClearsDirtyBit)
-{
-    ResultCache cache(smallConfig());
-    auto store = std::make_shared<RecordingStore>();
-    cache.registerSpillStore(7, store);
-    ASSERT_TRUE(cache.insert({7, 1}, 3.5, /*dirty=*/true));
-    // The caller vouches the same value is now durable.
-    EXPECT_FALSE(cache.insert({7, 1}, 3.5, /*dirty=*/false));
-    EXPECT_EQ(cache.flushDirty(), 0u);
-    EXPECT_TRUE(store->records().empty());
-}
-
 TEST(ResultCacheTest, NegativeZeroAndNanValuesRoundTrip)
 {
     ResultCache cache(smallConfig());
-    ASSERT_TRUE(cache.insert({1, 1}, -0.0, false));
-    ASSERT_TRUE(cache.insert({1, 2}, std::nan(""), false));
+    ASSERT_TRUE(cache.insert({1, 1}, -0.0));
+    ASSERT_TRUE(cache.insert({1, 2}, std::nan("")));
     double value = 1.0;
     ASSERT_TRUE(cache.lookup({1, 1}, &value));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(value),
@@ -420,14 +301,14 @@ TEST(ResultCacheTest, PendingSentinelValueIsCanonicalised)
     constexpr std::uint64_t kPayload = 0xFFF8'0000'5050'4D01ULL;
     const double sentinel = std::bit_cast<double>(kPayload);
     ASSERT_TRUE(std::isnan(sentinel));
-    ASSERT_TRUE(cache.insert({1, 1}, sentinel, false));
+    ASSERT_TRUE(cache.insert({1, 1}, sentinel));
     double value = 0.0;
     ASSERT_TRUE(cache.lookup({1, 1}, &value));
     EXPECT_TRUE(std::isnan(value));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(value), kPayload);
 
     const auto got =
-        cache.getOrCompute({1, 2}, [&] { return sentinel; }, false);
+        cache.getOrCompute({1, 2}, [&] { return sentinel; });
     EXPECT_EQ(got.outcome, Outcome::Computed);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value), kPayload);
     ASSERT_TRUE(cache.lookup({1, 2}, &value));
@@ -435,8 +316,7 @@ TEST(ResultCacheTest, PendingSentinelValueIsCanonicalised)
     // A stored sentinel is a finished value, not a claim: a second
     // getOrCompute hits it without running the compute.
     const auto again = cache.getOrCompute(
-        {1, 2}, [&]() -> double { throw std::logic_error("recomputed"); },
-        false);
+        {1, 2}, [&]() -> double { throw std::logic_error("recomputed"); });
     EXPECT_EQ(again.outcome, Outcome::Hit);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(again.value), kPayload);
 }
@@ -446,10 +326,10 @@ TEST(ResultCacheTest, KeyWidthIsEnforced)
     ResultCache cache(smallConfig(3));
     double value = 0.0;
     EXPECT_THROW(cache.lookup({1, 2}, &value), std::invalid_argument);
-    EXPECT_THROW(cache.insert({1, 2, 3, 4}, 1.0, false),
+    EXPECT_THROW(cache.insert({1, 2, 3, 4}, 1.0),
                  std::invalid_argument);
     EXPECT_THROW(
-        cache.getOrCompute({1}, [] { return 0.0; }, false),
+        cache.getOrCompute({1}, [] { return 0.0; }),
         std::invalid_argument);
     EXPECT_THROW(ResultCache(CacheConfig{}), std::invalid_argument);
 }

@@ -7,8 +7,9 @@
  * unreachable server degrades transparently to local evaluation; a
  * server SIGKILLed mid-batch is retried and the batch still completes
  * with correct values; a restarted server warm-starts from its
- * ResultArchive with zero new simulations; and stopping a server
- * flushes the sibling-metric results it cached to their archives.
+ * ResultArchive with zero new simulations; and a simulation's sibling
+ * metrics reach their archives, whether the server stops cleanly or
+ * is SIGKILLed.
  */
 
 #include <gtest/gtest.h>
@@ -230,6 +231,43 @@ TEST(ServeE2E, PingPongAgainstLiveServer)
     server.stop();
 }
 
+/**
+ * Spawn the real ppm_serve binary on @p sock, with two workers and
+ * @p extra_args, so there is a process to kill; wait until it answers
+ * a Ping. Returns its pid, or -1 when it never came up.
+ */
+pid_t
+spawnServer(const std::string &sock,
+            const std::vector<std::string> &extra_args = {})
+{
+    std::vector<std::string> args = {PPM_SERVE_BIN, "--socket", sock,
+                                     "--workers", "2"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid_t pid = -1;
+    if (::posix_spawn(&pid, PPM_SERVE_BIN, nullptr, nullptr,
+                      argv.data(), environ) != 0)
+        return -1;
+    for (int i = 0; i < 200; ++i) {
+        try {
+            serve::FdGuard conn = serve::connectUnix(sock, 100);
+            serve::writeFrame(conn.get(), serve::encodePing(1), 500);
+            if (serve::readFrame(conn.get(), 500).type ==
+                serve::MsgType::Pong)
+                return pid;
+        } catch (const std::exception &) {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(25));
+        }
+    }
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+    return -1;
+}
+
 TEST(ServeE2E, UnknownBenchmarkGetsErrorReply)
 {
     const std::string sock = uniqueSocket("err");
@@ -296,28 +334,8 @@ TEST(ServeE2E, ServerKilledMidBatchIsRetriedAndCompletes)
     const std::string sock = uniqueSocket("kill");
     fs::remove(sock);
 
-    // Spawn the real ppm_serve binary so there is a process to kill.
-    const char *argv[] = {PPM_SERVE_BIN, "--socket", sock.c_str(),
-                          "--workers", "2", nullptr};
-    pid_t pid = -1;
-    ASSERT_EQ(::posix_spawn(&pid, PPM_SERVE_BIN, nullptr, nullptr,
-                            const_cast<char *const *>(argv), environ),
-              0);
-
-    // Wait until the server accepts and answers a Ping.
-    bool up = false;
-    for (int i = 0; i < 200 && !up; ++i) {
-        try {
-            serve::FdGuard conn = serve::connectUnix(sock, 100);
-            serve::writeFrame(conn.get(), serve::encodePing(1), 500);
-            up = serve::readFrame(conn.get(), 500).type ==
-                 serve::MsgType::Pong;
-        } catch (const std::exception &) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(25));
-        }
-    }
-    ASSERT_TRUE(up) << "ppm_serve never came up on " << sock;
+    const pid_t pid = spawnServer(sock);
+    ASSERT_NE(pid, -1) << "ppm_serve never came up on " << sock;
 
     serve::RemoteOptions opts = fastRemote({sock});
     opts.chunk_points = 2;     // many small chunks...
@@ -413,10 +431,9 @@ evalOnce(const std::string &sock, core::Metric metric,
 }
 
 /**
- * A CPI simulation also caches the point's EPI and ED2P values, dirty:
- * only the EPI oracle's archive can make the EPI ones durable. Once an
- * EPI oracle exists, stopping the server must flush them there, so a
- * restarted server answers EPI at those points without simulating.
+ * A CPI simulation also prices the point's EPI and ED2P values and
+ * writes them to their archives, so a restarted server answers EPI at
+ * those points without simulating.
  */
 TEST(ServeE2E, StopFlushesSiblingMetricsToTheirArchive)
 {
@@ -435,7 +452,7 @@ TEST(ServeE2E, StopFlushesSiblingMetricsToTheirArchive)
         server.start();
         EXPECT_EQ(evalOnce(sock, core::Metric::Cpi, p).fresh_evaluations,
                   p.size());
-        // Opens the EPI archive: the spill route of P's EPI entries.
+        // Simulates Q for EPI; P's EPI values are already archived.
         EXPECT_EQ(evalOnce(sock, core::Metric::EnergyPerInst, q)
                       .fresh_evaluations,
                   q.size());
@@ -453,6 +470,52 @@ TEST(ServeE2E, StopFlushesSiblingMetricsToTheirArchive)
         EXPECT_EQ(epi.values, local.evaluateAll(p));
         server.stop();
     }
+    fs::remove_all(dir);
+}
+
+/**
+ * Every simulation writes all three metrics through to their archives
+ * before the server answers, so a SIGKILL right after a CPI request
+ * loses none of them: a restarted server answers EPI and ED2P at the
+ * same points without simulating.
+ */
+TEST(ServeE2E, SigkilledServerKeepsSiblingMetrics)
+{
+    Scenario &s = scenario();
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("ppm_e2e_sigkill_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const std::string sock = uniqueSocket("sigkill");
+    fs::remove(sock);
+    const std::vector<dspace::DesignPoint> p(s.batch.begin(),
+                                             s.batch.begin() + 6);
+
+    const pid_t pid = spawnServer(sock, {"--archive-dir", dir.string()});
+    ASSERT_NE(pid, -1) << "ppm_serve never came up on " << sock;
+    EXPECT_EQ(evalOnce(sock, core::Metric::Cpi, p).fresh_evaluations,
+              p.size());
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    fs::remove(sock);
+    EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+    serve::SimServer server(serverOptions(sock, 2, dir.string()));
+    server.start();
+    for (const core::Metric metric :
+         {core::Metric::EnergyPerInst, core::Metric::EnergyDelaySquared}) {
+        const serve::EvalResponse resp = evalOnce(sock, metric, p);
+        EXPECT_EQ(resp.fresh_evaluations, 0u)
+            << core::metricName(metric)
+            << " values priced by the CPI run died with the server";
+        core::SimulatorOracle local(s.space, s.trace, simOptions(),
+                                    metric);
+        EXPECT_EQ(resp.values, local.evaluateAll(p))
+            << core::metricName(metric);
+    }
+    EXPECT_EQ(server.totalEvaluations(), 0u);
+    server.stop();
     fs::remove_all(dir);
 }
 

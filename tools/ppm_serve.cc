@@ -6,7 +6,7 @@
  *   ppm_serve [--socket PATH | --listen HOST:PORT] [--workers N]
  *             [--archive-dir DIR] [--predict SNAPSHOT]
  *             [--model-dir DIR] [--model-poll-ms N]
- *             [--fault-spec SPEC] [--verbose]
+ *             [--fault-spec SPEC]
  *
  * With --predict the server additionally answers PREDICT batches from
  * the given model snapshot (published by ppm_publish); with
@@ -21,8 +21,9 @@
  * every bench and example built on serve::makeOracle() then evaluates
  * its batches remotely, with transparent fallback to in-process
  * simulation if the server goes away. With --archive-dir, every
- * simulation result is persisted to a CRC-checked append-only log and
- * replayed for free across restarts.
+ * simulation writes its CPI, EPI and ED2P values to CRC-checked
+ * append-only logs before it answers, and they are replayed for free
+ * across restarts.
  *
  * TCP mode is unauthenticated and unencrypted: bind loopback or a
  * trusted network only.
@@ -37,8 +38,10 @@
  * error degrades past --drift-threshold times its training-time CV
  * error fires a one-shot model_drift event (see drift_monitor.hh).
  *
- * Stops cleanly on SIGINT/SIGTERM, flushing the cached results an
- * archive has not yet persisted (sibling metrics of each simulation).
+ * Stops cleanly on SIGINT/SIGTERM. Archives need no flush on the way
+ * out, so a SIGKILL loses no simulation either. PPM_LOG=stderr logs
+ * new simulation contexts, answered EVAL requests and failed requests
+ * as JSONL events.
  */
 
 #include <csignal>
@@ -61,8 +64,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--socket PATH | --listen HOST:PORT] [--workers N]"
         " [--archive-dir DIR] [--predict SNAPSHOT] [--model-dir DIR]"
-        " [--model-poll-ms N] [--cache-mb N] [--fault-spec SPEC]"
-        " [--verbose]\n"
+        " [--model-poll-ms N] [--cache-mb N] [--fault-spec SPEC]\n"
         "  --socket PATH       Unix socket to listen on (default:\n"
         "                      first entry of $PPM_SERVE_SOCKET, else\n"
         "                      /tmp/ppm_serve.sock)\n"
@@ -81,9 +83,7 @@ usage(const char *argv0)
         "  --model-poll-ms N   model directory poll interval\n"
         "                      (default 200)\n"
         "  --cache-mb N        shared result-cache budget in MiB\n"
-        "                      (default: $PPM_CACHE_MB, else 16);\n"
-        "                      evicted unarchived entries spill to\n"
-        "                      the archive\n"
+        "                      (default: $PPM_CACHE_MB, else 16)\n"
         "  --fault-spec SPEC   install the deterministic transport\n"
         "                      fault injector (chaos rehearsal), e.g.\n"
         "                      seed=1;drop=0.1;delay=0.1;delay_ms=5\n"
@@ -95,8 +95,7 @@ usage(const char *argv0)
         "                      snapshot's training CV error"
         " (default 2.0)\n"
         "  --drift-min-samples N  residuals required before the event\n"
-        "                      can fire (default 32)\n"
-        "  --verbose           log requests to stderr\n",
+        "                      can fire (default 32)\n",
         argv0);
 }
 
@@ -158,8 +157,6 @@ main(int argc, char **argv)
         } else if (arg == "--drift-min-samples" && has_value) {
             options.drift.min_samples = std::strtoull(
                 argv[++i], nullptr, 10);
-        } else if (arg == "--verbose") {
-            options.verbose = true;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
