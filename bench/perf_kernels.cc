@@ -74,7 +74,9 @@ BENCHMARK(BM_TraceGeneration)->Arg(10000)->Arg(50000);
 /**
  * The simulator ledger: one row per Table 3 program, each iteration
  * simulating the program's 100K-instruction trace (15K warmup, the
- * Table 3 scale) at the same 16 random Table 1 points.
+ * Table 3 scale) at the same 16 random Table 1 points. Like a
+ * SimulatorOracle, each iteration computes the trace's facts once and
+ * shares them across its 16 simulations.
  * items_per_second is simulated instructions per second.
  */
 void
@@ -98,8 +100,9 @@ BM_CycleSimulation(benchmark::State &state)
     sim::SimOptions opts;
     opts.warmup_instructions = 15000;
     for (auto _ : state) {
+        const sim::TraceFacts facts(t, configs.front());
         for (const auto &cfg : configs) {
-            auto stats = sim::simulate(t, cfg, opts);
+            auto stats = sim::simulate(t, facts, cfg, opts);
             benchmark::DoNotOptimize(stats.cycles);
         }
     }

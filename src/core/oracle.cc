@@ -136,8 +136,13 @@ SimulatorOracle::simulatePoint(const dspace::DesignPoint &point,
     OBS_ADD(simulations, 1);
     const auto config =
         sim::ProcessorConfig::fromDesignPoint(space_, point);
+    // Every point of the paper space has the same predictor geometry,
+    // so the facts the first simulation computes fit them all.
+    std::call_once(facts_once_, [&] {
+        facts_ = std::make_unique<const sim::TraceFacts>(trace_, config);
+    });
     const sim::SimStats stats =
-        sim::simulate(trace_, config, options_);
+        sim::simulate(trace_, *facts_, config, options_);
     const sim::PowerReport power = sim::computePower(config, stats);
     const double values[kMetrics.size()] = {
         stats.cpi(), power.epi(stats), power.ed2p(stats)};

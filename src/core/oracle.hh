@@ -102,7 +102,8 @@ int metricIndex(Metric metric);
  * Oracle backed by the cycle-level simulator running one benchmark
  * trace. Results are memoized, so re-simulating a previously seen
  * configuration is free — mirroring how a real study would archive
- * simulation results.
+ * simulation results. The first simulation computes the trace's
+ * sim::TraceFacts, which every later one shares.
  *
  * cpi() is thread-safe: the memo layer is a cache::ResultCache, which
  * deduplicates concurrent requests for the same point — exactly one
@@ -226,6 +227,10 @@ class SimulatorOracle : public CpiOracle
     const trace::Trace &trace_;
     sim::SimOptions options_;
     Metric metric_;
+
+    /** The trace's facts, computed by the first simulation. */
+    std::once_flag facts_once_;
+    std::unique_ptr<const sim::TraceFacts> facts_;
 
     std::once_flag cache_once_;
     std::shared_ptr<cache::ResultCache> cache_;

@@ -36,12 +36,14 @@ Cache::Cache(std::string name, std::uint64_t size_bytes, int assoc,
             "Cache: capacity below one set (" + name_ + ")");
     lines_.assign(num_sets_ * static_cast<std::uint64_t>(assoc_),
                   Line{});
+    if ((num_sets_ & (num_sets_ - 1)) == 0)
+        set_mask_ = num_sets_ - 1;
 }
 
 std::uint64_t
 Cache::setIndex(std::uint64_t line_addr) const
 {
-    return line_addr % num_sets_;
+    return set_mask_ != 0 ? line_addr & set_mask_ : line_addr % num_sets_;
 }
 
 CacheAccessResult
@@ -53,34 +55,29 @@ Cache::access(std::uint64_t addr, bool is_write)
     Line *base = &lines_[set * static_cast<std::uint64_t>(assoc_)];
 
     CacheAccessResult result;
+    // The replacement candidate is the first invalid slot, else the
+    // least recently used line: the smallest stamp, first on ties.
     Line *victim = base;
     for (int w = 0; w < assoc_; ++w) {
         Line &line = base[w];
-        if (line.valid && line.tag == line_addr) {
-            line.lru = ++use_counter_;
-            line.dirty = line.dirty || is_write;
+        if (line.stamp != 0 && line.tag == line_addr) {
+            line.stamp = (++use_counter_ << 1) | (line.stamp & 1) |
+                (is_write ? 1 : 0);
             result.hit = true;
             return result;
         }
-        // Track LRU (or first invalid) candidate for replacement.
-        if (!line.valid) {
-            if (victim->valid || line.lru < victim->lru)
-                victim = &line;
-        } else if (victim->valid && line.lru < victim->lru) {
+        if (line.stamp < victim->stamp)
             victim = &line;
-        }
     }
 
     ++stats_.misses;
-    if (victim->valid && victim->dirty) {
+    if (victim->stamp & 1) {
         ++stats_.writebacks;
         result.writeback = true;
         result.victim_addr = victim->tag << line_shift_;
     }
-    victim->valid = true;
     victim->tag = line_addr;
-    victim->lru = ++use_counter_;
-    victim->dirty = is_write;
+    victim->stamp = (++use_counter_ << 1) | (is_write ? 1 : 0);
     return result;
 }
 
@@ -91,7 +88,7 @@ Cache::probe(std::uint64_t addr) const
     const std::uint64_t set = setIndex(line_addr);
     const Line *base = &lines_[set * static_cast<std::uint64_t>(assoc_)];
     for (int w = 0; w < assoc_; ++w)
-        if (base[w].valid && base[w].tag == line_addr)
+        if (base[w].stamp != 0 && base[w].tag == line_addr)
             return true;
     return false;
 }

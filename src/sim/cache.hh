@@ -31,7 +31,8 @@ struct CacheAccessResult
  *
  * The set count is capacity / (line_size * assoc) and need not be a
  * power of two (validation design points carry arbitrary capacities),
- * so set indexing uses modulo rather than bit masking.
+ * so set indexing uses modulo, or a mask when the count is a power of
+ * two.
  */
 class Cache
 {
@@ -71,15 +72,16 @@ class Cache
     struct Line
     {
         std::uint64_t tag = 0;
-        std::uint64_t lru = 0; //!< last-use stamp; 0 = invalid slot
-        bool valid = false;
-        bool dirty = false;
+        /** Last-use stamp << 1 | dirty bit; 0 = invalid slot. */
+        std::uint64_t stamp = 0;
     };
 
     std::string name_;
     int assoc_;
     int line_shift_;
     std::uint64_t num_sets_;
+    /** num_sets_ - 1 when num_sets_ is a power of two, else 0. */
+    std::uint64_t set_mask_ = 0;
     std::vector<Line> lines_; //!< num_sets * assoc, set-major
     std::uint64_t use_counter_ = 0;
     CacheStats stats_;

@@ -8,7 +8,14 @@ SimStats
 simulate(const trace::Trace &trace, const ProcessorConfig &config,
          const SimOptions &options)
 {
-    OooCore core(config, trace);
+    return simulate(trace, TraceFacts(trace, config), config, options);
+}
+
+SimStats
+simulate(const trace::Trace &trace, const TraceFacts &facts,
+         const ProcessorConfig &config, const SimOptions &options)
+{
+    OooCore core(config, trace, facts);
     return core.run(options.warmup_instructions);
 }
 

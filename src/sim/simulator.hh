@@ -11,6 +11,7 @@
 #include "dspace/design_space.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
+#include "sim/trace_facts.hh"
 #include "trace/trace.hh"
 
 namespace ppm::sim {
@@ -26,12 +27,24 @@ struct SimOptions
 };
 
 /**
- * Simulate @p trace on @p config.
+ * Simulate @p trace on @p config. Computes the trace's facts first;
+ * to simulate one trace on many configurations, compute them once
+ * and use the overload that takes them.
  *
  * @return Statistics over the measured (post-warmup) region.
  * @throws std::invalid_argument for invalid configurations.
  */
 SimStats simulate(const trace::Trace &trace,
+                  const ProcessorConfig &config,
+                  const SimOptions &options = {});
+
+/**
+ * Simulate @p trace, whose facts are @p facts, on @p config.
+ *
+ * @throws std::invalid_argument for invalid configurations, or facts
+ *         that do not fit @p trace and @p config's predictor geometry.
+ */
+SimStats simulate(const trace::Trace &trace, const TraceFacts &facts,
                   const ProcessorConfig &config,
                   const SimOptions &options = {});
 

@@ -116,10 +116,12 @@ TEST(FaultInjector, DecisionsArePureInSeedAndIndex)
         EXPECT_EQ(da.target, db.target) << "index " << i;
         if (da.kind != serve::FaultKind::None)
             ++faults;
-        if (da.kind == serve::FaultKind::Truncate)
+        if (da.kind == serve::FaultKind::Truncate) {
             EXPECT_LT(da.target, 512u);
-        if (da.kind == serve::FaultKind::BitFlip)
+        }
+        if (da.kind == serve::FaultKind::BitFlip) {
             EXPECT_LT(da.target, 512u * 8);
+        }
     }
     // ~80% fault probability over 1000 draws: faults certainly occur,
     // and so do clean frames.

@@ -1,7 +1,7 @@
 /**
  * @file
- * Structure-aware protocol fuzzing: a corpus of one valid frame per
- * message type is pushed through eight mutators — random bit flips,
+ * Structure-aware protocol fuzzing: a corpus of valid frames, at least
+ * one per message type, is pushed through eight mutators — random bit flips,
  * byte substitutions, truncations, extensions, length-field lies, CRC
  * corruption, version skew, unknown type codes — for >= 10k
  * deterministic mutants (math::Rng::stream, so every run fuzzes the
@@ -41,6 +41,14 @@ constexpr std::size_t kLenOffset = 8;
 
 /** Offset of the 16-bit version field. */
 constexpr std::size_t kVersionOffset = 4;
+
+/**
+ * The highest type code. dispatchParse() handles every MsgType: this
+ * target builds with -Werror=switch, so a new type fails to compile
+ * until it has a parse case, and must then also move this bound.
+ */
+constexpr std::uint16_t kLastType =
+    static_cast<std::uint16_t>(serve::MsgType::TraceResponse);
 
 void
 putU16(Bytes &b, std::size_t off, std::uint16_t v)
@@ -140,6 +148,31 @@ corpus()
     ack.message = "stale version 2 (active 3)";
     frames.push_back(serve::encodeModelPushAck(ack));
 
+    serve::TraceRequest treq;
+    treq.nonce = 0xBADC0DE;
+    treq.drain = true;
+    frames.push_back(serve::encodeTraceRequest(treq));
+
+    serve::TraceDump dump;
+    dump.pid = 4242;
+    dump.dropped = 3;
+    dump.endpoint = "unix:/tmp/ppm.sock";
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        serve::TraceSpan span;
+        span.trace_hi = 0x0123456789ABCDEFULL;
+        span.trace_lo = 0xFEDCBA9876543210ULL + i;
+        span.span_id = 100 + i;
+        span.parent_span_id = i == 0 ? 0 : 100;
+        span.name = i == 0 ? "serve.request" : "oracle.simulate";
+        span.start_unix_ns = 1700000000000000000ULL + 1000 * i;
+        span.dur_ns = 250000 / (i + 1);
+        span.tid = static_cast<std::uint32_t>(7 + i);
+        dump.spans.push_back(span);
+    }
+    frames.push_back(serve::encodeTraceResponse(dump));
+    // An empty buffer: no spans, no endpoint.
+    frames.push_back(serve::encodeTraceResponse(serve::TraceDump{}));
+
     return frames;
 }
 
@@ -189,6 +222,12 @@ dispatchParse(const serve::Frame &frame)
         break;
       case serve::MsgType::ModelPushAck:
         (void)serve::parseModelPushAck(frame.payload);
+        break;
+      case serve::MsgType::TraceRequest:
+        (void)serve::parseTraceRequest(frame.payload);
+        break;
+      case serve::MsgType::TraceResponse:
+        (void)serve::parseTraceResponse(frame.payload);
         break;
     }
 }
@@ -294,11 +333,13 @@ const Mutator kMutators[] = {
          // Only codes outside the known range: a swap among valid
          // types can be a well-formed different frame.
          Bytes m = frame;
+         constexpr std::uint64_t kFirstUnknown = kLastType + 1;
          const std::uint16_t t =
              rng.bernoulli(0.25)
                  ? 0
                  : static_cast<std::uint16_t>(
-                       16 + rng.uniformInt(0x10000 - 16));
+                       kFirstUnknown +
+                       rng.uniformInt(0x10000 - kFirstUnknown));
          putU16(m, kTypeOffset, t);
          return m;
      }},
@@ -401,11 +442,11 @@ TEST(ProtocolFuzz, HeaderRejectsEveryUnknownTypeCode)
             (void)serve::decodeHeader(m.data(), m.size());
             ++accepted;
             EXPECT_GE(t, 1u);
-            EXPECT_LE(t, 15u);
+            EXPECT_LE(t, kLastType);
         } catch (const serve::ProtocolError &) {
         }
     }
-    EXPECT_EQ(accepted, 15);
+    EXPECT_EQ(accepted, kLastType);
 }
 
 TEST(ProtocolFuzz, EveryTruncationLengthIsRejected)

@@ -42,9 +42,11 @@ TEST(RegressionTree, LeafStdIsResponseSpreadOfLeaf)
     EXPECT_DOUBLE_EQ(singleton.leafStd({0.05, 0.05}), 0.0);
 
     // nodes() exports the same statistic.
-    for (const auto &info : root_only.nodes())
-        if (info.is_leaf)
+    for (const auto &info : root_only.nodes()) {
+        if (info.is_leaf) {
             EXPECT_NEAR(info.std_response, std::sqrt(5.0), 1e-12);
+        }
+    }
 }
 
 TEST(RegressionTree, SinglePointIsLeafOnlyTree)
