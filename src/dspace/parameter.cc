@@ -21,16 +21,18 @@ Parameter::Parameter(std::string name, double min_value, double max_value,
     assert(levels_ >= 0 && levels_ != 1 && "need 0 (S) or >= 2 levels");
     assert((transform_ != Transform::Log || min_ > 0.0) &&
            "log transform requires a positive range");
+    if (transform_ == Transform::Log) {
+        log2_min_ = std::log2(min_);
+        log2_span_ = std::log2(max_) - log2_min_;
+    }
 }
 
 double
 Parameter::toUnit(double raw) const
 {
     const double clamped = std::clamp(raw, min_, max_);
-    if (transform_ == Transform::Log) {
-        return (std::log2(clamped) - std::log2(min_)) /
-            (std::log2(max_) - std::log2(min_));
-    }
+    if (transform_ == Transform::Log)
+        return (std::log2(clamped) - log2_min_) / log2_span_;
     return (clamped - min_) / (max_ - min_);
 }
 
@@ -38,11 +40,8 @@ double
 Parameter::fromUnit(double unit) const
 {
     const double u = std::clamp(unit, 0.0, 1.0);
-    if (transform_ == Transform::Log) {
-        const double lg = std::log2(min_) +
-            u * (std::log2(max_) - std::log2(min_));
-        return std::exp2(lg);
-    }
+    if (transform_ == Transform::Log)
+        return std::exp2(log2_min_ + u * log2_span_);
     return min_ + u * (max_ - min_);
 }
 

@@ -118,6 +118,12 @@ class Parameter
     int levels_;
     Transform transform_;
     bool integer_;
+    /**
+     * Log transform only: log2(min) and log2(max) - log2(min), the
+     * same values toUnit/fromUnit would compute per call.
+     */
+    double log2_min_ = 0.0;
+    double log2_span_ = 0.0;
 };
 
 } // namespace ppm::dspace

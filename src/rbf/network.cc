@@ -57,6 +57,16 @@ RbfNetwork::predict(const std::vector<dspace::UnitPoint> &xs) const
     return plan_->predict(xs);
 }
 
+std::vector<double>
+RbfNetwork::predictRows(std::span<const double> rows,
+                        std::size_t dims) const
+{
+    if (empty())
+        throw std::logic_error(
+            "rbf::RbfNetwork::predict: empty network");
+    return plan_->predictRows(rows, dims);
+}
+
 std::size_t
 RbfNetwork::dimensions() const
 {

@@ -18,6 +18,7 @@
 #define PPM_RBF_NETWORK_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dspace/design_space.hh"
@@ -63,6 +64,13 @@ class RbfNetwork
      */
     std::vector<double> predict(
         const std::vector<dspace::UnitPoint> &xs) const;
+
+    /**
+     * The same over points of @p dims coordinates stored back to back
+     * in @p rows (see BatchPlan::predictRows).
+     */
+    std::vector<double> predictRows(std::span<const double> rows,
+                                    std::size_t dims) const;
 
     /** Number of hidden units m. */
     std::size_t numBases() const { return bases_.size(); }

@@ -839,43 +839,67 @@ BatchPlan::predictOne(const dspace::UnitPoint &x) const
     return predictOneImpl(x.data());
 }
 
+template <typename Row>
 std::vector<double>
-BatchPlan::predict(const std::vector<dspace::UnitPoint> &xs) const
+BatchPlan::predictEach(std::size_t n, Row row) const
 {
     OBS_SPAN("rbf.batch");
     OBS_STATIC_COUNTER(batch_calls, "rbf.batch.calls");
     OBS_ADD(batch_calls, 1);
     OBS_STATIC_COUNTER(batch_points, "rbf.batch.points");
-    OBS_ADD(batch_points, xs.size());
-    std::vector<double> out(xs.size());
+    OBS_ADD(batch_points, n);
+    if (n > 0 && !has_weights_)
+        throw std::logic_error(
+            "rbf::BatchPlan::predictOne: plan compiled without "
+            "weights");
+    std::vector<double> out(n);
     std::size_t i = 0;
 #if defined(PPM_SIMD_HAVE_AVX512)
     // Pair queries on AVX-512 to keep four exp chains in flight
-    // (bit-identical to predictOne; see predictPairAvx512). A point
-    // with the wrong dimensionality ends the fast path, and the
-    // predictOne loop below reports it with the usual error.
-    if (kind_ == SimdKind::Avx512 && has_weights_) {
-        for (; i + 4 <= xs.size() && xs[i].size() == dims_ &&
-               xs[i + 1].size() == dims_ &&
-               xs[i + 2].size() == dims_ && xs[i + 3].size() == dims_;
-             i += 4) {
-            const double *quad[4] = {xs[i].data(), xs[i + 1].data(),
-                                     xs[i + 2].data(),
-                                     xs[i + 3].data()};
+    // (bit-identical to predictOne; see predictPairAvx512).
+    if (kind_ == SimdKind::Avx512) {
+        for (; i + 4 <= n; i += 4) {
+            const double *quad[4] = {row(i), row(i + 1), row(i + 2),
+                                     row(i + 3)};
             predictQuadAvx512(quad, centers_, inv_r_sq_, weights_,
                               dims_, padded_, &out[i]);
         }
-        for (; i + 2 <= xs.size() && xs[i].size() == dims_ &&
-               xs[i + 1].size() == dims_;
-             i += 2)
-            predictPairAvx512(xs[i].data(), xs[i + 1].data(),
-                              centers_, inv_r_sq_, weights_, dims_,
-                              padded_, &out[i]);
+        for (; i + 2 <= n; i += 2)
+            predictPairAvx512(row(i), row(i + 1), centers_, inv_r_sq_,
+                              weights_, dims_, padded_, &out[i]);
     }
 #endif
-    for (; i < xs.size(); ++i)
-        out[i] = predictOne(xs[i]);
+    for (; i < n; ++i)
+        out[i] = predictOneImpl(row(i));
     return out;
+}
+
+std::vector<double>
+BatchPlan::predict(const std::vector<dspace::UnitPoint> &xs) const
+{
+    for (const dspace::UnitPoint &x : xs)
+        if (x.size() != dims_)
+            throw std::invalid_argument(
+                "rbf::BatchPlan::predictOne: point has " +
+                std::to_string(x.size()) + " dimensions, plan has " +
+                std::to_string(dims_));
+    return predictEach(xs.size(),
+                       [&](std::size_t i) { return xs[i].data(); });
+}
+
+std::vector<double>
+BatchPlan::predictRows(std::span<const double> rows,
+                       std::size_t dims) const
+{
+    if (dims != dims_ || rows.size() % dims != 0)
+        throw std::invalid_argument(
+            "rbf::BatchPlan::predictRows: " +
+            std::to_string(rows.size()) + " coordinates of " +
+            std::to_string(dims) + "-dimension points, plan has " +
+            std::to_string(dims_));
+    return predictEach(rows.size() / dims_, [&](std::size_t i) {
+        return rows.data() + i * dims_;
+    });
 }
 
 void

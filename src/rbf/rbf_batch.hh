@@ -56,6 +56,7 @@
 #define PPM_RBF_RBF_BATCH_HH
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,15 @@ class BatchPlan
         const std::vector<dspace::UnitPoint> &xs) const;
 
     /**
+     * The same over points of @p dims coordinates stored back to back
+     * in @p rows, with no per-point vector.
+     * @throws std::invalid_argument unless dims == dimensions() and
+     *         rows holds whole points.
+     */
+    std::vector<double> predictRows(std::span<const double> rows,
+                                    std::size_t dims) const;
+
+    /**
      * Basis responses h_j(x) for all j into @p row (numBases()
      * doubles). Works with or without weights.
      */
@@ -163,6 +173,9 @@ class BatchPlan
         const std::vector<dspace::UnitPoint> &xs) const;
 
   private:
+    /** predictOneImpl of @p n points, point i at row(i). */
+    template <typename Row>
+    std::vector<double> predictEach(std::size_t n, Row row) const;
     double predictOneImpl(const double *x) const;
     void basisRowImpl(const double *x, double *h) const;
 

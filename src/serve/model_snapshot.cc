@@ -345,29 +345,59 @@ predictWithSnapshot(const ModelSnapshot &snap,
                     const std::vector<dspace::DesignPoint> &points,
                     ModelKind model)
 {
-    if (model == ModelKind::Linear && snap.linear.empty())
+    PredictBatch batch;
+    batch.model = model;
+    batch.dims = snap.space.size();
+    batch.coords.reserve(points.size() * batch.dims);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (points[i].size() != batch.dims)
+            fail("point " + std::to_string(i) + " has " +
+                 std::to_string(points[i].size()) +
+                 " coordinates, model has " +
+                 std::to_string(batch.dims));
+        batch.coords.insert(batch.coords.end(), points[i].begin(),
+                            points[i].end());
+    }
+    return predictWithSnapshot(snap, batch);
+}
+
+std::vector<double>
+predictWithSnapshot(const ModelSnapshot &snap, const PredictBatch &batch)
+{
+    if (batch.model == ModelKind::Linear && snap.linear.empty())
         fail("snapshot carries no linear baseline");
     // Decoded snapshots always carry a network, but a hand-assembled
     // ModelSnapshot may not; fail typed here rather than letting the
     // network throw logic_error below.
-    if (model == ModelKind::Rbf && snap.network.empty())
+    if (batch.model == ModelKind::Rbf && snap.network.empty())
         fail("snapshot carries no RBF network");
-    std::vector<dspace::UnitPoint> units;
-    units.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const dspace::DesignPoint &p = points[i];
-        if (p.size() != snap.space.size())
-            fail("point " + std::to_string(i) + " has " +
-                 std::to_string(p.size()) + " coordinates, model has " +
-                 std::to_string(snap.space.size()));
-        if (!snap.space.contains(p))
-            fail("point " + std::to_string(i) +
-                 " is outside the trained design space: " +
-                 snap.space.describe(p));
-        units.push_back(snap.space.toUnit(p));
+    const std::vector<dspace::Parameter> &params = snap.space.params();
+    const std::size_t dims = params.size();
+    const std::size_t n = batch.size();
+    if (n > 0 && batch.dims != dims)
+        fail("point 0 has " + std::to_string(batch.dims) +
+             " coordinates, model has " + std::to_string(dims));
+    std::vector<double> units(n * dims);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *x = batch.coords.data() + i * dims;
+        for (std::size_t d = 0; d < dims; ++d) {
+            if (!params[d].contains(x[d]))
+                fail("point " + std::to_string(i) +
+                     " is outside the trained design space: " +
+                     snap.space.describe(
+                         dspace::DesignPoint(x, x + dims)));
+            units[i * dims + d] = params[d].toUnit(x[d]);
+        }
     }
-    return model == ModelKind::Linear ? snap.linear.predict(units)
-                                      : snap.network.predict(units);
+    if (batch.model == ModelKind::Rbf)
+        return snap.network.predictRows(units, dims);
+    std::vector<dspace::UnitPoint> rows;
+    rows.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        rows.emplace_back(units.begin() + static_cast<std::ptrdiff_t>(i * dims),
+                          units.begin() +
+                              static_cast<std::ptrdiff_t>((i + 1) * dims));
+    return snap.linear.predict(rows);
 }
 
 ModelInfo

@@ -180,6 +180,15 @@ std::vector<double> predictWithSnapshot(
     const std::vector<dspace::DesignPoint> &points,
     ModelKind model = ModelKind::Rbf);
 
+/**
+ * The same over a decoded PREDICT batch (the server's path): the
+ * points go to the unit hypercube in one block and reach the kernel
+ * with no per-point vector. The vector form above routes through
+ * here.
+ */
+std::vector<double> predictWithSnapshot(const ModelSnapshot &snap,
+                                        const PredictBatch &batch);
+
 /** Wire metadata describing @p snap (for ModelInfoResponse). */
 ModelInfo describeSnapshot(const ModelSnapshot &snap);
 

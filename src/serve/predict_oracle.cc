@@ -23,14 +23,11 @@ PredictOracle::cpi(const dspace::DesignPoint &point)
 }
 
 std::optional<PredictResponse>
-PredictOracle::requestChunk(
-    std::size_t socket_index,
-    const std::vector<dspace::DesignPoint> &points)
+PredictOracle::requestChunk(std::size_t socket_index,
+                            std::span<const dspace::DesignPoint> points)
 {
-    PredictRequest req;
-    req.model = model_;
-    req.points = points;
-    const std::vector<std::uint8_t> frame = encodePredictRequest(req);
+    const std::vector<std::uint8_t> frame =
+        encodePredictRequest(model_, points);
 
     std::optional<PredictResponse> resp;
     std::optional<Frame> reply = client_.exchange(
@@ -66,12 +63,12 @@ PredictOracle::evaluateAll(
     auto runChunk = [&](std::size_t c) {
         const std::size_t begin = c * chunk;
         const std::size_t end = std::min(n, begin + chunk);
-        std::vector<dspace::DesignPoint> part(
-            points.begin() + static_cast<std::ptrdiff_t>(begin),
-            points.begin() + static_cast<std::ptrdiff_t>(end));
+        const auto first =
+            points.begin() + static_cast<std::ptrdiff_t>(begin);
+        const auto last = points.begin() + static_cast<std::ptrdiff_t>(end);
         std::optional<PredictResponse> resp;
         if (num_sockets > 0)
-            resp = requestChunk(c % num_sockets, part);
+            resp = requestChunk(c % num_sockets, {first, last});
         if (resp) {
             std::copy(resp->values.begin(), resp->values.end(),
                       out.begin() + static_cast<std::ptrdiff_t>(begin));
@@ -89,8 +86,9 @@ PredictOracle::evaluateAll(
             return;
         }
         OBS_SPAN("predict.fallback_chunk");
-        const std::vector<double> local =
-            predictWithSnapshot(snapshot_, part, model_);
+        const std::vector<double> local = predictWithSnapshot(
+            snapshot_, std::vector<dspace::DesignPoint>(first, last),
+            model_);
         std::copy(local.begin(), local.end(),
                   out.begin() + static_cast<std::ptrdiff_t>(begin));
         fallback_points_.fetch_add(end - begin,

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/oracle.hh"
@@ -87,7 +88,7 @@ class PredictOracle final : public core::CpiOracle
   private:
     std::optional<PredictResponse> requestChunk(
         std::size_t socket_index,
-        const std::vector<dspace::DesignPoint> &points);
+        std::span<const dspace::DesignPoint> points);
 
     ModelSnapshot snapshot_;
     ModelKind model_;

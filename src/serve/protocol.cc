@@ -9,6 +9,12 @@ namespace ppm::serve {
 
 namespace {
 
+/**
+ * Smallest encoded TraceSpan: six u64 fields, the u32 length of an
+ * empty name and the u32 tid.
+ */
+constexpr std::size_t kMinEncodedSpan = 6 * 8 + 4 + 4;
+
 bool
 knownType(std::uint16_t t)
 {
@@ -139,8 +145,7 @@ encodeEvalRequest(const EvalRequest &req)
     for (const auto &p : req.points) {
         if (p.size() != dims)
             throw ProtocolError("ragged point batch");
-        for (double v : p)
-            w.f64(v);
+        w.f64s(p.data(), dims);
     }
     return encodeFrame(MsgType::EvalRequest, w.take());
 }
@@ -165,13 +170,16 @@ parseEvalRequest(const std::vector<std::uint8_t> &payload)
         throw ProtocolError("too many points in request");
     if (dims > 256)
         throw ProtocolError("point dimensionality too large");
+    // With dims == 0 the size check below holds for any n, and n
+    // empty points would be built from a 0-byte point block.
+    if (n > 0 && dims == 0)
+        throw ProtocolError("zero-dimension points in request");
     if (r.remaining() != std::size_t{n} * dims * sizeof(double))
         throw ProtocolError("point data size mismatch");
     req.points.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         dspace::DesignPoint p(dims);
-        for (auto &v : p)
-            v = r.f64();
+        r.f64s(p.data(), dims);
         req.points.push_back(std::move(p));
     }
     r.expectEnd();
@@ -185,8 +193,7 @@ encodeEvalResponse(const EvalResponse &resp)
     if (resp.values.size() > kMaxPoints)
         throw ProtocolError("too many values in response");
     w.u32(static_cast<std::uint32_t>(resp.values.size()));
-    for (double v : resp.values)
-        w.f64(v);
+    w.f64s(resp.values.data(), resp.values.size());
     w.u64(resp.fresh_evaluations);
     w.u64(resp.total_evaluations);
     return encodeFrame(MsgType::EvalResponse, w.take());
@@ -202,9 +209,8 @@ parseEvalResponse(const std::vector<std::uint8_t> &payload)
         throw ProtocolError("too many values in response");
     if (r.remaining() != std::size_t{n} * sizeof(double) + 16)
         throw ProtocolError("response size mismatch");
-    resp.values.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        resp.values.push_back(r.f64());
+    resp.values.resize(n);
+    r.f64s(resp.values.data(), n);
     resp.fresh_evaluations = r.u64();
     resp.total_evaluations = r.u64();
     r.expectEnd();
@@ -357,49 +363,75 @@ parseStatsResponse(const std::vector<std::uint8_t> &payload)
 std::vector<std::uint8_t>
 encodePredictRequest(const PredictRequest &req)
 {
+    return encodePredictRequest(req.model, req.points);
+}
+
+std::vector<std::uint8_t>
+encodePredictRequest(ModelKind model,
+                     std::span<const dspace::DesignPoint> points)
+{
     PayloadWriter w;
-    w.u16(static_cast<std::uint16_t>(req.model));
-    if (req.points.size() > kMaxPoints)
+    w.u16(static_cast<std::uint16_t>(model));
+    if (points.size() > kMaxPoints)
         throw ProtocolError("too many points in request");
-    w.u32(static_cast<std::uint32_t>(req.points.size()));
-    const std::size_t dims =
-        req.points.empty() ? 0 : req.points.front().size();
+    w.u32(static_cast<std::uint32_t>(points.size()));
+    const std::size_t dims = points.empty() ? 0 : points.front().size();
     w.u32(static_cast<std::uint32_t>(dims));
-    for (const auto &p : req.points) {
+    for (const auto &p : points) {
         if (p.size() != dims)
             throw ProtocolError("ragged point batch");
-        for (double v : p)
-            w.f64(v);
+        w.f64s(p.data(), dims);
     }
     return encodeFrame(MsgType::PredictRequest, w.take());
 }
 
-PredictRequest
-parsePredictRequest(const std::vector<std::uint8_t> &payload)
+std::vector<dspace::DesignPoint>
+PredictBatch::points() const
+{
+    std::vector<dspace::DesignPoint> out;
+    out.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        out.emplace_back(coords.data() + i * dims,
+                         coords.data() + (i + 1) * dims);
+    return out;
+}
+
+PredictBatch
+parsePredictBatch(const std::vector<std::uint8_t> &payload)
 {
     PayloadReader r(payload.data(), payload.size());
-    PredictRequest req;
+    PredictBatch batch;
     const std::uint16_t model = r.u16();
     if (model > static_cast<std::uint16_t>(ModelKind::Linear))
         throw ProtocolError("unknown model kind " +
                             std::to_string(model));
-    req.model = static_cast<ModelKind>(model);
+    batch.model = static_cast<ModelKind>(model);
     const std::uint32_t n = r.u32();
     const std::uint32_t dims = r.u32();
     if (n > kMaxPoints)
         throw ProtocolError("too many points in request");
     if (dims > 256)
         throw ProtocolError("point dimensionality too large");
+    // With dims == 0 the size check below holds for any n, and n
+    // empty points would be built from a 0-byte point block.
+    if (n > 0 && dims == 0)
+        throw ProtocolError("zero-dimension points in request");
     if (r.remaining() != std::size_t{n} * dims * sizeof(double))
         throw ProtocolError("point data size mismatch");
-    req.points.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        dspace::DesignPoint p(dims);
-        for (auto &v : p)
-            v = r.f64();
-        req.points.push_back(std::move(p));
-    }
+    batch.dims = dims;
+    batch.coords.resize(std::size_t{n} * dims);
+    r.f64s(batch.coords.data(), batch.coords.size());
     r.expectEnd();
+    return batch;
+}
+
+PredictRequest
+parsePredictRequest(const std::vector<std::uint8_t> &payload)
+{
+    const PredictBatch batch = parsePredictBatch(payload);
+    PredictRequest req;
+    req.model = batch.model;
+    req.points = batch.points();
     return req;
 }
 
@@ -411,8 +443,7 @@ encodePredictResponse(const PredictResponse &resp)
     if (resp.values.size() > kMaxPoints)
         throw ProtocolError("too many values in response");
     w.u32(static_cast<std::uint32_t>(resp.values.size()));
-    for (double v : resp.values)
-        w.f64(v);
+    w.f64s(resp.values.data(), resp.values.size());
     return encodeFrame(MsgType::PredictResponse, w.take());
 }
 
@@ -427,9 +458,8 @@ parsePredictResponse(const std::vector<std::uint8_t> &payload)
         throw ProtocolError("too many values in response");
     if (r.remaining() != std::size_t{n} * sizeof(double))
         throw ProtocolError("response size mismatch");
-    resp.values.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        resp.values.push_back(r.f64());
+    resp.values.resize(n);
+    r.f64s(resp.values.data(), n);
     r.expectEnd();
     return resp;
 }
@@ -618,6 +648,10 @@ parseTraceResponse(const std::vector<std::uint8_t> &payload)
     const std::uint32_t n = r.u32();
     if (n > kMaxTraceSpans)
         throw ProtocolError("too many spans in trace response");
+    // Bound the reserve by the payload: a span encodes to at least
+    // kMinEncodedSpan bytes (its name empty).
+    if (r.remaining() < std::size_t{n} * kMinEncodedSpan)
+        throw ProtocolError("trace span data truncated");
     dump.spans.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         TraceSpan s;

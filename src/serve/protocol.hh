@@ -32,6 +32,7 @@
 #define PPM_SERVE_PROTOCOL_HH
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -175,6 +176,23 @@ struct PredictRequest
     std::vector<dspace::DesignPoint> points;
 };
 
+/**
+ * A PredictRequest's points decoded into one row-major block: the
+ * server's form, with no per-point allocation.
+ */
+struct PredictBatch
+{
+    ModelKind model = ModelKind::Rbf;
+    std::size_t dims = 0;
+    /** Point i is coords[i * dims, (i + 1) * dims). */
+    std::vector<double> coords;
+
+    std::size_t size() const { return dims == 0 ? 0 : coords.size() / dims; }
+
+    /** The points as one vector each (PredictRequest's form). */
+    std::vector<dspace::DesignPoint> points() const;
+};
+
 /** Result of a PredictRequest. */
 struct PredictResponse
 {
@@ -264,6 +282,9 @@ std::vector<std::uint8_t> encodeStatsRequest(std::uint64_t nonce);
 std::vector<std::uint8_t> encodeStatsResponse(const obs::Snapshot &snap);
 std::vector<std::uint8_t> encodePredictRequest(
     const PredictRequest &req);
+/** The same frame, encoded straight from the caller's points. */
+std::vector<std::uint8_t> encodePredictRequest(
+    ModelKind model, std::span<const dspace::DesignPoint> points);
 std::vector<std::uint8_t> encodePredictResponse(
     const PredictResponse &resp);
 std::vector<std::uint8_t> encodeModelInfoRequest(std::uint64_t nonce);
@@ -303,6 +324,8 @@ std::uint64_t parseStatsRequest(const std::vector<std::uint8_t> &payload);
 obs::Snapshot parseStatsResponse(const std::vector<std::uint8_t> &payload);
 PredictRequest parsePredictRequest(
     const std::vector<std::uint8_t> &payload);
+/** The same payload decoded into one block (parsePredictRequest's core). */
+PredictBatch parsePredictBatch(const std::vector<std::uint8_t> &payload);
 PredictResponse parsePredictResponse(
     const std::vector<std::uint8_t> &payload);
 std::uint64_t parseModelInfoRequest(

@@ -3,26 +3,33 @@
  * ShardedClient: the transport-and-retry core shared by every client
  * of the serve plane (RemoteOracle for simulation batches,
  * PredictOracle for model predictions). One place owns endpoint
- * parsing, per-endpoint health counters, the bounded
- * exponential-backoff retry schedule, the per-socket dead latch, and
- * the dedicated dispatch-thread fan-out — so fault-injection chaos
- * coverage and the remote.* observability counters apply to every
- * frame family without duplication.
+ * parsing, a pool of idle connections per endpoint, per-endpoint
+ * health counters, the bounded exponential-backoff retry schedule,
+ * the per-socket dead latch, and the dispatch threads that run a
+ * batch's chunks concurrently — so fault-injection chaos coverage and
+ * the remote.* observability counters apply to every frame family
+ * without duplication.
  *
- * Dispatch deliberately uses dedicated threads, NOT the process-wide
- * util::ThreadPool: a chunk blocks on socket I/O, and parking blocked
- * work inside the pool could starve a same-process SimServer (tests,
- * benches) whose oracles need the pool to make progress.
+ * Dispatch deliberately uses the client's own threads, NOT the
+ * process-wide util::ThreadPool: a chunk blocks on socket I/O, and
+ * parking blocked work inside the pool could starve a same-process
+ * SimServer (tests, benches) whose oracles need the pool to make
+ * progress. The threads start on the client's first multi-chunk call
+ * and live until it is destroyed.
  */
 
 #ifndef PPM_SERVE_SHARDED_CLIENT_HH
 #define PPM_SERVE_SHARDED_CLIENT_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -73,7 +80,11 @@ struct RemoteOptions
     int backoff_max_ms = 500;
     /** Points per request frame. */
     std::size_t chunk_points = 8;
-    /** Concurrent in-flight requests (dispatch threads). */
+    /**
+     * Chunks of one call in flight at once (the caller plus
+     * max_connections - 1 dispatch threads), and the most idle
+     * connections kept per endpoint.
+     */
     unsigned max_connections = 4;
     /** Base seed carried in requests (see protocol::EvalRequest). */
     std::uint64_t seed = 0;
@@ -89,17 +100,29 @@ class ShardedClient
      */
     explicit ShardedClient(RemoteOptions options);
 
+    /** Joins the dispatch threads and closes pooled connections. */
+    ~ShardedClient();
+
+    ShardedClient(const ShardedClient &) = delete;
+    ShardedClient &operator=(const ShardedClient &) = delete;
+
     const RemoteOptions &options() const { return options_; }
     std::size_t numEndpoints() const { return endpoints_.size(); }
 
     /**
      * One request/reply exchange against an endpoint, with the full
-     * connect-timeout / retry / backoff / dead-latch schedule. Every
-     * attempt opens a fresh connection. An Error reply aborts without
-     * further retries (a semantic rejection will not improve); any
-     * other reply type than @p expect — or a @p validate callback
-     * throwing ProtocolError — marks the transport suspect and
-     * retries.
+     * connect-timeout / retry / backoff / dead-latch schedule. An
+     * attempt takes an idle pooled connection when there is one and
+     * connects otherwise; the connection goes back to the pool only
+     * after a reply of type @p expect that @p validate accepted. A
+     * pooled connection that fails with PeerClosedError (the server
+     * closed it while idle, e.g. on a restart) is replaced by one
+     * fresh connect within the same attempt. An Error reply aborts
+     * without further retries (a semantic rejection will not
+     * improve); any other reply type than @p expect — or a
+     * @p validate callback throwing ProtocolError — marks the
+     * transport suspect and retries. Every failure closes the
+     * connection.
      *
      * @return The reply frame (type == @p expect), or nullopt when
      *         the endpoint is dead, all attempts failed (the endpoint
@@ -112,16 +135,26 @@ class ShardedClient
         const std::function<void(const Frame &)> &validate = {});
 
     /**
-     * Run @p run(c) for every chunk index in [0, num_chunks) across
-     * min(options().max_connections, num_chunks) dedicated threads;
-     * thread t owns chunks t, t+T, t+2T, ... so per-chunk output
-     * slots never overlap. With one thread (or zero endpoints) runs
-     * inline. Rethrows the first exception any chunk raised.
+     * Run @p run(c) once for every chunk index in [0, num_chunks):
+     * the caller and the client's max_connections - 1 dispatch
+     * threads claim chunks from one shared queue, so concurrent
+     * callers share the threads. Each chunk runs under the caller's
+     * trace context. With one chunk, max_connections == 1 or zero
+     * endpoints runs inline. Rethrows the first exception any chunk
+     * raised, after every chunk has finished.
      */
     void forEachChunk(std::size_t num_chunks,
                       const std::function<void(std::size_t)> &run);
 
   private:
+    /** One forEachChunk call's shared state, on the caller's stack. */
+    struct Batch;
+
+    FdGuard connect(std::size_t endpoint_index);
+    /** Claim and run @p batch's chunks until none is unclaimed. */
+    void runChunks(Batch &batch, std::unique_lock<std::mutex> &lock);
+    void dispatchLoop();
+
     RemoteOptions options_;
 
     /** Parsed options_.sockets, one per shard slot. */
@@ -148,6 +181,19 @@ class ShardedClient
      * the full retry schedule on every remaining chunk.
      */
     std::vector<std::atomic<bool>> socket_dead_;
+
+    /** Idle connections per endpoint, at most max_connections each. */
+    std::mutex pool_mutex_;
+    std::vector<std::vector<FdGuard>> idle_;
+
+    /** Guards batches_, stopping_, threads_ and every Batch. */
+    std::mutex dispatch_mutex_;
+    std::condition_variable work_cv_; //!< a batch was queued, or stop
+    std::condition_variable done_cv_; //!< some batch finished
+    /** Batches with unclaimed chunks, oldest first. */
+    std::deque<Batch *> batches_;
+    bool stopping_ = false;
+    std::vector<std::thread> threads_;
 };
 
 } // namespace ppm::serve

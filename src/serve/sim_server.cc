@@ -7,6 +7,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +20,23 @@
 #include "trace/trace_generator.hh"
 
 namespace ppm::serve {
+
+namespace {
+
+/** Connections and the listener: one worker per readiness event. */
+constexpr std::uint32_t kOneShot = EPOLLIN | EPOLLONESHOT;
+
+/** epoll_ctl(@p op) of @p fd for @p events; false on failure. */
+bool
+epollSet(int epoll_fd, int op, int fd, std::uint32_t events)
+{
+    epoll_event ev{};
+    ev.events = events;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
+}
+
+} // namespace
 
 SimServer::SimServer(ServerOptions options)
     : options_(std::move(options)), space_(dspace::paperTrainSpace())
@@ -62,6 +80,24 @@ SimServer::start()
         listen_fd_.reset();
         throw IoError(std::string("pipe2: ") + std::strerror(errno));
     }
+    // One interest set for every worker: the listener and each
+    // connection are armed one-shot, so exactly one worker takes an
+    // event; the stop pipe is level-triggered, so every worker sees
+    // it.
+    epoll_fd_ = FdGuard(::epoll_create1(EPOLL_CLOEXEC));
+    if (!epoll_fd_.valid() ||
+        !epollSet(epoll_fd_.get(), EPOLL_CTL_ADD, listen_fd_.get(),
+                  kOneShot) ||
+        !epollSet(epoll_fd_.get(), EPOLL_CTL_ADD, stop_pipe_[0],
+                  EPOLLIN)) {
+        const std::string error = std::strerror(errno);
+        epoll_fd_.reset();
+        listen_fd_.reset();
+        ::close(stop_pipe_[0]);
+        ::close(stop_pipe_[1]);
+        stop_pipe_[0] = stop_pipe_[1] = -1;
+        throw IoError("epoll: " + error);
+    }
     stopping_.store(false, std::memory_order_relaxed);
     workers_.reserve(options_.num_workers);
     for (unsigned i = 0; i < options_.num_workers; ++i)
@@ -76,7 +112,8 @@ SimServer::stop()
     if (!started_)
         return;
     stopping_.store(true, std::memory_order_relaxed);
-    // Wake workers blocked in poll() on the listening socket...
+    // Wake every worker waiting in epoll_wait (the byte stays in the
+    // pipe, so the level-triggered event reaches them all)...
     const char byte = 1;
     (void)!::write(stop_pipe_[1], &byte, 1);
     // ...and sever in-flight connections so blocked reads see EOF.
@@ -88,6 +125,17 @@ SimServer::stop()
     for (auto &worker : workers_)
         worker.join();
     workers_.clear();
+    // What is left are idle connections no worker holds.
+    {
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        OBS_STATIC_GAUGE(active_conns, "serve.active_connections");
+        OBS_GAUGE_SUB(active_conns,
+                      static_cast<std::int64_t>(conns_.size()));
+        for (int fd : conns_)
+            ::close(fd);
+        conns_.clear();
+    }
+    epoll_fd_.reset();
     listen_fd_.reset();
     ::close(stop_pipe_[0]);
     ::close(stop_pipe_[1]);
@@ -207,8 +255,8 @@ SimServer::handleRequest(const Frame &frame)
 std::vector<std::uint8_t>
 SimServer::handlePredict(const Frame &frame)
 {
-    const PredictRequest req = parsePredictRequest(frame.payload);
-    if (req.points.empty())
+    const PredictBatch batch = parsePredictBatch(frame.payload);
+    if (batch.size() == 0)
         return encodeError({"empty point batch"});
     // Pin the model for the whole batch: a concurrent hot-swap
     // cannot tear it, and the version echoed below is exactly the
@@ -222,11 +270,11 @@ SimServer::handlePredict(const Frame &frame)
     OBS_STATIC_COUNTER(predict_requests, "predict.requests");
     OBS_ADD(predict_requests, 1);
     OBS_STATIC_COUNTER(predict_points, "predict.points");
-    OBS_ADD(predict_points, req.points.size());
+    OBS_ADD(predict_points, batch.size());
     PredictResponse resp;
     resp.model_version = model->model_version;
-    resp.values = predictWithSnapshot(*model, req.points, req.model);
-    if (drift_.enabled() && req.model == ModelKind::Rbf) {
+    resp.values = predictWithSnapshot(*model, batch);
+    if (drift_.enabled() && batch.model == ModelKind::Rbf) {
         // Shadow-check a deterministic sample of the served values
         // against ground truth already in the shared cache, under the
         // context word the snapshot's simulation context memoizes
@@ -239,7 +287,7 @@ SimServer::handlePredict(const Frame &frame)
             context ? cache::contextWord(context->id,
                                          core::metricIndex(model->metric))
                     : 0,
-            model->model_version, model->cv_error, req.points,
+            model->model_version, model->cv_error, batch.points(),
             resp.values);
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
@@ -344,134 +392,161 @@ sloHistogramFor(MsgType type)
 
 } // namespace
 
-void
-SimServer::serveConnection(int fd)
+bool
+SimServer::serveFrame(int fd)
 {
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        Frame frame;
+    Frame frame;
+    try {
+        frame = readFrame(fd, options_.io_timeout_ms);
+    } catch (const IoError &) {
+        return false; // EOF, timeout or reset: drop the connection
+    } catch (const ProtocolError &e) {
+        // Framing is lost; report once and drop the connection.
+        OBS_STATIC_COUNTER(protocol_errors, "slo.errors.protocol");
+        OBS_ADD(protocol_errors, 1);
         try {
-            frame = readFrame(fd, options_.io_timeout_ms);
+            writeFrame(fd, encodeError({e.what()}),
+                       options_.io_timeout_ms);
         } catch (const IoError &) {
-            break; // EOF, timeout or reset: drop the connection
-        } catch (const ProtocolError &e) {
-            // Framing is lost; report once and drop the connection.
-            OBS_STATIC_COUNTER(protocol_errors,
-                               "slo.errors.protocol");
-            OBS_ADD(protocol_errors, 1);
-            try {
-                writeFrame(fd, encodeError({e.what()}),
-                           options_.io_timeout_ms);
-            } catch (const IoError &) {
-            }
+        }
+        return false;
+    }
+
+    // The requester's trace context rides the frame header: install
+    // it so every span this request touches (cache, RBF kernel,
+    // nested oracles) joins the distributed trace.
+    obs::ScopedTraceContext trace_scope(frame.trace);
+    const std::uint64_t slo_start = obs::monotonicNs();
+
+    std::vector<std::uint8_t> reply;
+    try {
+        switch (frame.type) {
+          case MsgType::Ping:
+            reply = encodePong(parsePing(frame.payload));
+            break;
+          case MsgType::StatsRequest:
+            (void)parseStatsRequest(frame.payload);
+            reply = encodeStatsResponse(
+                obs::Registry::instance().snapshot());
+            break;
+          case MsgType::PredictRequest:
+            reply = handlePredict(frame);
+            break;
+          case MsgType::ModelInfoRequest:
+            reply = handleModelInfo(frame);
+            break;
+          case MsgType::ModelPush:
+            reply = handleModelPush(frame);
+            break;
+          case MsgType::EvalRequest:
+            reply = handleRequest(frame);
+            break;
+          case MsgType::TraceRequest:
+            reply = handleTrace(frame);
+            break;
+          default:
+            reply = encodeError({"unexpected message type"});
             break;
         }
+    } catch (const std::exception &e) {
+        // Malformed payload, unknown benchmark, point outside the
+        // trained space, archive failure, ... — reported to the
+        // client, which falls back to local evaluation (where the
+        // same error surfaces as an exception).
+        obs::logEvent(obs::LogLevel::Warn, "serve", "request_failed",
+                      {{"type", static_cast<unsigned>(frame.type)},
+                       {"error", e.what()}});
+        reply = encodeError({e.what()});
+    }
+    sloHistogramFor(frame.type).observe(obs::monotonicNs() - slo_start);
+    if (decodeHeader(reply.data(), reply.size()).type == MsgType::Error) {
+        OBS_STATIC_COUNTER(error_replies, "slo.errors.replies");
+        OBS_ADD(error_replies, 1);
+    }
+    try {
+        writeFrame(fd, reply, options_.io_timeout_ms);
+    } catch (const IoError &) {
+        OBS_STATIC_COUNTER(io_errors, "slo.errors.io");
+        OBS_ADD(io_errors, 1);
+        return false;
+    }
+    return true;
+}
 
-        // The requester's trace context rides the frame header:
-        // install it so every span this request touches (cache, RBF
-        // kernel, nested oracles) joins the distributed trace.
-        obs::ScopedTraceContext trace_scope(frame.trace);
-        const std::uint64_t slo_start = obs::monotonicNs();
-
-        std::vector<std::uint8_t> reply;
-        try {
-            switch (frame.type) {
-              case MsgType::Ping:
-                reply = encodePong(parsePing(frame.payload));
-                break;
-              case MsgType::StatsRequest:
-                (void)parseStatsRequest(frame.payload);
-                reply = encodeStatsResponse(
-                    obs::Registry::instance().snapshot());
-                break;
-              case MsgType::PredictRequest:
-                reply = handlePredict(frame);
-                break;
-              case MsgType::ModelInfoRequest:
-                reply = handleModelInfo(frame);
-                break;
-              case MsgType::ModelPush:
-                reply = handleModelPush(frame);
-                break;
-              case MsgType::EvalRequest:
-                reply = handleRequest(frame);
-                break;
-              case MsgType::TraceRequest:
-                reply = handleTrace(frame);
-                break;
-              default:
-                reply = encodeError({"unexpected message type"});
-                break;
-            }
-        } catch (const std::exception &e) {
-            // Malformed payload, unknown benchmark, point outside the
-            // trained space, archive failure, ... — reported to the
-            // client, which falls back to local evaluation (where the
-            // same error surfaces as an exception).
-            obs::logEvent(obs::LogLevel::Warn, "serve", "request_failed",
-                          {{"type", static_cast<unsigned>(frame.type)},
-                           {"error", e.what()}});
-            reply = encodeError({e.what()});
+void
+SimServer::acceptConnection()
+{
+    // Connections are non-blocking so frame I/O can enforce
+    // io_timeout_ms via poll.
+    const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
+                             SOCK_CLOEXEC | SOCK_NONBLOCK);
+    if (fd < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR &&
+            errno != ECONNABORTED) {
+            // EMFILE, ENFILE, ENOBUFS: the connection stays queued and
+            // the listener stays readable, so re-arming at once would
+            // spin. Pause first; stop() cuts the pause short.
+            struct pollfd pfd = {stop_pipe_[0], POLLIN, 0};
+            (void)::poll(&pfd, 1, kAcceptRetryMs);
         }
-        sloHistogramFor(frame.type).observe(obs::monotonicNs() -
-                                            slo_start);
-        if (decodeHeader(reply.data(), reply.size()).type ==
-            MsgType::Error) {
-            OBS_STATIC_COUNTER(error_replies, "slo.errors.replies");
-            OBS_ADD(error_replies, 1);
-        }
-        try {
-            writeFrame(fd, reply, options_.io_timeout_ms);
-        } catch (const IoError &) {
-            OBS_STATIC_COUNTER(io_errors, "slo.errors.io");
-            OBS_ADD(io_errors, 1);
-            break;
+    } else {
+        if (endpoint_.kind == Endpoint::Kind::Tcp)
+            setTcpNoDelay(fd);
+        std::lock_guard<std::mutex> lock(conns_mutex_);
+        if (!epollSet(epoll_fd_.get(), EPOLL_CTL_ADD, fd, kOneShot)) {
+            ::close(fd);
+        } else {
+            conns_.insert(fd);
+            OBS_STATIC_GAUGE(active_conns, "serve.active_connections");
+            OBS_GAUGE_ADD(active_conns, 1);
         }
     }
+    (void)epollSet(epoll_fd_.get(), EPOLL_CTL_MOD, listen_fd_.get(),
+                   kOneShot);
+}
+
+void
+SimServer::releaseConnection(int fd, bool keep)
+{
+    // Under the lock, so whichever thread takes the connection next
+    // (a worker on its next frame, or stop()) is ordered after this
+    // worker's I/O on it.
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    if (keep && epollSet(epoll_fd_.get(), EPOLL_CTL_MOD, fd, kOneShot))
+        return;
+    conns_.erase(fd);
+    ::close(fd); // also drops it from the epoll set
+    OBS_STATIC_GAUGE(active_conns, "serve.active_connections");
+    OBS_GAUGE_SUB(active_conns, 1);
 }
 
 void
 SimServer::workerLoop()
 {
+    OBS_STATIC_GAUGE(busy_workers, "serve.busy_workers");
     while (!stopping_.load(std::memory_order_relaxed)) {
-        struct pollfd pfds[2] = {
-            {listen_fd_.get(), POLLIN, 0},
-            {stop_pipe_[0], POLLIN, 0},
-        };
-        const int rc = ::poll(pfds, 2, -1);
+        epoll_event ev{};
+        const int rc = ::epoll_wait(epoll_fd_.get(), &ev, 1, -1);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             break;
         }
-        if (pfds[1].revents != 0)
+        if (rc == 0)
+            continue;
+        const int fd = ev.data.fd;
+        if (fd == stop_pipe_[0])
             break; // stop() rang the bell
-        if ((pfds[0].revents & POLLIN) == 0)
+        if (fd == listen_fd_.get()) {
+            acceptConnection();
             continue;
-        // The listening fd is non-blocking: another worker may win
-        // the race for this connection. Connections are non-blocking
-        // too so frame I/O can enforce io_timeout_ms via poll.
-        const int fd = ::accept4(listen_fd_.get(), nullptr, nullptr,
-                                 SOCK_CLOEXEC | SOCK_NONBLOCK);
-        if (fd < 0)
-            continue;
-        if (endpoint_.kind == Endpoint::Kind::Tcp)
-            setTcpNoDelay(fd);
-        // A worker serves one connection at a time, so the number of
-        // connections in conns_ is also the number of busy workers —
-        // the live proxy for queue depth exported to ppm_stats.
-        OBS_STATIC_GAUGE(active_conns, "serve.active_connections");
-        {
-            std::lock_guard<std::mutex> lock(conns_mutex_);
-            conns_.insert(fd);
         }
-        OBS_GAUGE_ADD(active_conns, 1);
-        serveConnection(fd);
-        OBS_GAUGE_SUB(active_conns, 1);
-        {
-            std::lock_guard<std::mutex> lock(conns_mutex_);
-            conns_.erase(fd);
-        }
-        ::close(fd);
+        // This worker owns the connection until it re-arms it, so one
+        // connection's frames are served one at a time, in order.
+        OBS_GAUGE_ADD(busy_workers, 1);
+        const bool keep = serveFrame(fd);
+        OBS_GAUGE_SUB(busy_workers, 1);
+        releaseConnection(fd, keep);
     }
 }
 

@@ -5,9 +5,18 @@
  * spec grammar), keeps one record per simulation context (benchmark,
  * trace length, warmup) holding the context's trace and one memoizing
  * SimulatorOracle per Metric, and services EvalRequest batches from a
- * pool of worker threads (every worker accepts connections, so
- * num_workers requests proceed concurrently; each oracle additionally
- * fans its batch across the process-wide thread pool).
+ * pool of worker threads. Every worker waits in epoll_wait on one
+ * shared set holding the listener and every open connection, each
+ * armed one-shot: a worker takes one readable connection, serves one
+ * frame and re-arms it. So num_workers frames are served
+ * concurrently, one connection's frames are served in order, and an
+ * idle connection (a client's pooled one) occupies no worker. Each
+ * oracle additionally fans its batch across the process-wide thread
+ * pool.
+ *
+ * Gauges: serve.active_connections counts open connections, idle ones
+ * included; serve.busy_workers counts workers serving a frame, the
+ * queue-depth proxy ppm_stats shows.
  *
  * Clients shard batches across one or more servers (one ppm_serve
  * process per socket) with RemoteOracle; results are bit-identical to
@@ -70,7 +79,11 @@ struct ServerOptions
      * persistence. Created if absent.
      */
     std::string archive_dir;
-    /** Per-socket-operation timeout for request/response I/O. */
+    /**
+     * Bound on reading one frame once it is readable, and on writing
+     * one reply. An idle connection has no timeout: it stays open
+     * until its client closes it or the server stops.
+     */
     int io_timeout_ms = 120'000;
     /** Reject requests asking for traces longer than this. */
     std::uint64_t max_trace_length = 50'000'000;
@@ -122,7 +135,8 @@ class SimServer
 
     /**
      * Shut down: stop accepting, sever in-flight connections, join
-     * all workers, unlink the socket path. Idempotent.
+     * all workers, close idle connections, unlink the socket path.
+     * Idempotent.
      */
     void stop();
 
@@ -180,7 +194,15 @@ class SimServer
     /** The context named @p sim_key; nullptr before its first EVAL. */
     const SimContext *findContext(const std::string &sim_key) const;
     void workerLoop();
-    void serveConnection(int fd);
+    /** Accept one connection into the epoll set; re-arm the listener. */
+    void acceptConnection();
+    /**
+     * Read one frame from @p fd, serve it and write the reply.
+     * @return false when the connection is to be closed.
+     */
+    bool serveFrame(int fd);
+    /** Re-arm @p fd for its next frame, or close it (!keep). */
+    void releaseConnection(int fd, bool keep);
     std::vector<std::uint8_t> handleRequest(const Frame &frame);
     std::vector<std::uint8_t> handlePredict(const Frame &frame);
     std::vector<std::uint8_t> handleModelInfo(const Frame &frame);
@@ -190,7 +212,12 @@ class SimServer
     ServerOptions options_;
     dspace::DesignSpace space_;
     Endpoint endpoint_;
+    /** How long a failed accept (EMFILE, ENFILE) pauses the listener. */
+    static constexpr int kAcceptRetryMs = 50;
+
     FdGuard listen_fd_;
+    /** Every worker waits here: listener, stop pipe, connections. */
+    FdGuard epoll_fd_;
     int stop_pipe_[2] = {-1, -1};
     std::vector<std::thread> workers_;
     std::atomic<bool> stopping_{false};
@@ -202,6 +229,7 @@ class SimServer
     /** One table for every oracle; see SimContext. */
     std::shared_ptr<cache::ResultCache> cache_;
 
+    /** Open connections, idle or being served. */
     std::mutex conns_mutex_;
     std::set<int> conns_;
 

@@ -284,6 +284,9 @@ sendAll(int fd, const void *data, std::size_t size, int timeout_ms)
         }
         if (n < 0 && errno == EINTR)
             continue;
+        if (n < 0 && (errno == EPIPE || errno == ECONNRESET))
+            throw PeerClosedError(std::string("send: ") +
+                                  std::strerror(errno));
         throwErrno("send");
     }
 }
@@ -301,14 +304,19 @@ recvAll(int fd, void *data, std::size_t size, int timeout_ms)
             got += static_cast<std::size_t>(n);
             continue;
         }
-        if (n == 0)
+        if (n == 0) {
+            if (got == 0)
+                throw PeerClosedError("connection closed by peer");
             throw IoError("connection closed by peer");
+        }
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
             waitReady(fd, POLLIN, deadline);
             continue;
         }
         if (errno == EINTR)
             continue;
+        if (errno == ECONNRESET && got == 0)
+            throw PeerClosedError("recv: connection reset by peer");
         throwErrno("recv");
     }
 }
@@ -374,7 +382,12 @@ readFrame(int fd, int timeout_ms)
     const std::size_t rest =
         kTraceBlockSize + header.payload_len + kTrailerSize;
     buf.resize(kHeaderSize + rest);
-    recvAll(fd, buf.data() + kHeaderSize, rest, timeout_ms);
+    try {
+        recvAll(fd, buf.data() + kHeaderSize, rest, timeout_ms);
+    } catch (const PeerClosedError &e) {
+        // The header arrived: this is a failure mid-frame.
+        throw IoError(e.what());
+    }
     return decodeFrame(buf);
 }
 

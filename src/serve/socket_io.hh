@@ -36,6 +36,18 @@ class IoError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
+/**
+ * The peer had closed the connection before any byte of the frame
+ * being read arrived (EOF or ECONNRESET), or a send found it gone
+ * (EPIPE or ECONNRESET). On a pooled client connection this means
+ * the server closed it while it sat idle.
+ */
+class PeerClosedError : public IoError
+{
+  public:
+    using IoError::IoError;
+};
+
 /** Move-only owner of a file descriptor; closes on destruction. */
 class FdGuard
 {
@@ -111,13 +123,18 @@ std::uint16_t boundTcpPort(int fd);
 /** Best-effort TCP_NODELAY (no-op on non-TCP descriptors). */
 void setTcpNoDelay(int fd);
 
-/** Send all @p size bytes within @p timeout_ms. @throws IoError */
+/**
+ * Send all @p size bytes within @p timeout_ms.
+ * @throws PeerClosedError on EPIPE or ECONNRESET, IoError otherwise.
+ */
 void sendAll(int fd, const void *data, std::size_t size,
              int timeout_ms);
 
 /**
  * Receive exactly @p size bytes within @p timeout_ms.
- * @throws IoError on timeout, error, or EOF before @p size bytes.
+ * @throws IoError on timeout, error, or EOF before @p size bytes;
+ *         PeerClosedError when the EOF or reset comes before the
+ *         first byte.
  */
 void recvAll(int fd, void *data, std::size_t size, int timeout_ms);
 
@@ -131,7 +148,8 @@ void writeFrame(int fd, const std::vector<std::uint8_t> &frame,
 
 /**
  * Read and validate one complete frame.
- * @throws IoError on socket failure, ProtocolError on malformed data.
+ * @throws IoError on socket failure (PeerClosedError when no byte of
+ *         the frame arrived), ProtocolError on malformed data.
  */
 Frame readFrame(int fd, int timeout_ms);
 

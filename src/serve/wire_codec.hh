@@ -5,11 +5,12 @@
  * snapshots (model_snapshot.cc), result archives (result_archive.cc)
  * and trainer state files (online_trainer.cc).
  *
- * Everything is encoded explicitly byte by byte, so images are
- * endianness-independent: a snapshot published on a big-endian host
- * loads bit-identically on a little-endian one. Every read
- * bounds-checks and throws ProtocolError on truncation; no malformed
- * input is undefined behaviour.
+ * Everything is encoded little-endian whatever the host, so images
+ * are endianness-independent: a snapshot published on a big-endian
+ * host loads bit-identically on a little-endian one. (f64s copies
+ * whole arrays on little-endian hosts, where the bytes are the same.)
+ * Every read bounds-checks and throws ProtocolError on truncation; no
+ * malformed input is undefined behaviour.
  */
 
 #ifndef PPM_SERVE_WIRE_CODEC_HH
@@ -17,6 +18,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,19 @@ class PayloadWriter
     void u64(std::uint64_t v) { put<8>(v); }
 
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+    /** Append @p n doubles: the bytes of n f64() calls. */
+    void
+    f64s(const double *v, std::size_t n)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            const auto *b = reinterpret_cast<const std::uint8_t *>(v);
+            bytes_.insert(bytes_.end(), b, b + n * sizeof(double));
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                f64(v[i]);
+        }
+    }
 
     /** Append @p n raw bytes. */
     void
@@ -116,6 +131,21 @@ class PayloadReader
     }
 
     double f64() { return std::bit_cast<double>(u64()); }
+
+    /** Read @p n doubles into @p out: n f64() calls' worth. */
+    void
+    f64s(double *out, std::size_t n)
+    {
+        if constexpr (std::endian::native == std::endian::little) {
+            const std::uint8_t *in = bytes(n * sizeof(double));
+            if (n > 0) // an empty vector's data() may be null
+                std::memcpy(out, in, n * sizeof(double));
+        } else {
+            need(n * sizeof(double));
+            for (std::size_t i = 0; i < n; ++i)
+                out[i] = f64();
+        }
+    }
 
     /** Skip @p n raw bytes, returning where they start. */
     const std::uint8_t *

@@ -2,6 +2,8 @@
  * @file
  * CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) used to
  * integrity-check wire-protocol frames and result-archive records.
+ * Computed slice-by-8 (eight table lookups per 8-byte word); the
+ * values are those of the bytewise algorithm.
  */
 
 #ifndef PPM_UTIL_CRC32_HH

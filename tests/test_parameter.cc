@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "dspace/paper_space.hh"
 #include "dspace/parameter.hh"
+#include "math/rng.hh"
 
 namespace {
 
@@ -166,6 +171,66 @@ TEST(Parameter, ContainsAbsorbsUlpsOnNarrowLargeMagnitudeRanges)
     // Genuinely outside values are still rejected.
     EXPECT_FALSE(p.contains(1000001.1));
     EXPECT_FALSE(p.contains(999998.9));
+}
+
+/** toUnit by the three-log2 formula: the reference for the cache. */
+double
+threeLog2ToUnit(const Parameter &p, double raw)
+{
+    const double clamped = std::clamp(raw, p.minValue(), p.maxValue());
+    if (p.transform() == Transform::Log)
+        return (std::log2(clamped) - std::log2(p.minValue())) /
+            (std::log2(p.maxValue()) - std::log2(p.minValue()));
+    return (clamped - p.minValue()) / (p.maxValue() - p.minValue());
+}
+
+/** fromUnit by the same uncached formula. */
+double
+threeLog2FromUnit(const Parameter &p, double unit)
+{
+    const double u = std::clamp(unit, 0.0, 1.0);
+    if (p.transform() == Transform::Log)
+        return std::exp2(std::log2(p.minValue()) +
+                         u * (std::log2(p.maxValue()) -
+                              std::log2(p.minValue())));
+    return p.minValue() + u * (p.maxValue() - p.minValue());
+}
+
+TEST(Parameter, CachedLog2GivesTheSameBitsAsTheThreeLog2Formula)
+{
+    // Every level of every Table 1 and Table 2 parameter (a
+    // sample-size level count taken at 200 points), then 10,000
+    // random raw values per parameter spanning the clamp on both
+    // sides.
+    ppm::math::Rng rng(2027);
+    for (const DesignSpace &space : {paperTrainSpace(), paperTestSpace()}) {
+        for (const Parameter &p : space.params()) {
+            const int count = p.effectiveLevels(200);
+            for (int level = 0; level < count; ++level) {
+                const double raw = p.levelValue(level, count);
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(p.toUnit(raw)),
+                          std::bit_cast<std::uint64_t>(
+                              threeLog2ToUnit(p, raw)))
+                    << p.name() << " level " << level;
+            }
+            const double span = p.maxValue() - p.minValue();
+            for (int i = 0; i < 10'000; ++i) {
+                const double raw =
+                    rng.uniform(p.minValue() - 0.1 * span,
+                                p.maxValue() + 0.1 * span);
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(p.toUnit(raw)),
+                          std::bit_cast<std::uint64_t>(
+                              threeLog2ToUnit(p, raw)))
+                    << p.name() << " raw " << raw;
+                const double unit = rng.uniform(-0.1, 1.1);
+                ASSERT_EQ(
+                    std::bit_cast<std::uint64_t>(p.fromUnit(unit)),
+                    std::bit_cast<std::uint64_t>(
+                        threeLog2FromUnit(p, unit)))
+                    << p.name() << " unit " << unit;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include "dspace/paper_space.hh"
 #include "math/rng.hh"
 #include "serve/protocol.hh"
+#include "serve/wire_codec.hh"
 
 namespace {
 
@@ -173,6 +174,44 @@ corpus()
     // An empty buffer: no spans, no endpoint.
     frames.push_back(serve::encodeTraceResponse(serve::TraceDump{}));
 
+    return frames;
+}
+
+/**
+ * Well-framed frames whose payload only the type's parser can reject:
+ * batches of n > 0 zero-dimension points (which pass the point-data
+ * size check at 0 bytes), and a span count the payload cannot hold.
+ */
+std::vector<Bytes>
+forgedFrames()
+{
+    std::vector<Bytes> frames;
+    serve::PayloadWriter predict;
+    predict.u16(static_cast<std::uint16_t>(serve::ModelKind::Rbf));
+    predict.u32(serve::kMaxPoints);
+    predict.u32(0);
+    frames.push_back(serve::encodeFrame(serve::MsgType::PredictRequest,
+                                        predict.take()));
+
+    serve::PayloadWriter eval;
+    eval.str("mcf");
+    eval.u16(static_cast<std::uint16_t>(core::Metric::Cpi));
+    eval.u64(12000);
+    eval.u64(2000);
+    eval.u64(42);
+    eval.u32(serve::kMaxPoints);
+    eval.u32(0);
+    frames.push_back(
+        serve::encodeFrame(serve::MsgType::EvalRequest, eval.take()));
+
+    serve::PayloadWriter trace;
+    trace.u16(serve::kTraceVersion);
+    trace.u32(4242);
+    trace.u64(0);
+    trace.str("");
+    trace.u32(serve::kMaxTraceSpans);
+    frames.push_back(serve::encodeFrame(serve::MsgType::TraceResponse,
+                                        trace.take()));
     return frames;
 }
 
@@ -356,9 +395,20 @@ TEST(ProtocolFuzz, CorpusFramesAreValid)
     }
 }
 
+TEST(ProtocolFuzz, ForgedFramesRejectedByTheirParser)
+{
+    for (const Bytes &frame : forgedFrames()) {
+        serve::Frame decoded;
+        ASSERT_NO_THROW(decoded = serve::decodeFrame(frame));
+        EXPECT_THROW(dispatchParse(decoded), serve::ProtocolError);
+    }
+}
+
 TEST(ProtocolFuzz, EveryMutantRejectedWithProtocolError)
 {
-    const std::vector<Bytes> frames = corpus();
+    std::vector<Bytes> frames = corpus();
+    for (Bytes &forged : forgedFrames())
+        frames.push_back(std::move(forged));
     std::uint64_t stream_index = 0;
     std::uint64_t mutants = 0;
     std::uint64_t unchanged = 0;

@@ -12,10 +12,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "math/rng.hh"
 #include "serve/protocol.hh"
 #include "serve/remote_oracle.hh"
+#include "serve/wire_codec.hh"
 #include "util/crc32.hh"
 
 namespace {
@@ -491,6 +494,111 @@ TEST(ServeProtocol, Crc32KnownVector)
     // Incremental == one-shot.
     const std::uint32_t part = ppm::util::crc32("1234", 4);
     EXPECT_EQ(ppm::util::crc32("56789", 5, part), 0xCBF43926u);
+}
+
+/** Bytewise table-driven CRC-32: the reference for slice-by-8. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *data, std::size_t size,
+              std::uint32_t seed = 0)
+{
+    std::uint32_t table[256];
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i)
+        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(ServeProtocol, Crc32SliceBy8MatchesBytewiseReference)
+{
+    math::Rng rng(0xC4C);
+    std::vector<std::uint8_t> buf(4096 + 8);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    // Every length 0-4,096 at each of 8 misalignments.
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len + offset <= 4096; ++len)
+            ASSERT_EQ(util::crc32(buf.data() + offset, len),
+                      bytewiseCrc32(buf.data() + offset, len))
+                << "offset " << offset << " length " << len;
+    // Split at random points and continued through the seed.
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::size_t len = rng.uniformInt(4097);
+        std::size_t cut[2] = {rng.uniformInt(len + 1),
+                              rng.uniformInt(len + 1)};
+        if (cut[0] > cut[1])
+            std::swap(cut[0], cut[1]);
+        std::uint32_t crc = util::crc32(buf.data(), cut[0]);
+        crc = util::crc32(buf.data() + cut[0], cut[1] - cut[0], crc);
+        crc = util::crc32(buf.data() + cut[1], len - cut[1], crc);
+        ASSERT_EQ(crc, bytewiseCrc32(buf.data(), len))
+            << "length " << len << " cut at " << cut[0] << ", "
+            << cut[1];
+    }
+}
+
+TEST(ServeProtocol, RejectsZeroDimensionPredictBatch)
+{
+    // 10 bytes: model kind, n = 2^20 points of 0 dimensions. The
+    // size check n * dims * 8 == 0 holds, so only the dimension check
+    // stops 1,048,576 empty points from being built.
+    PayloadWriter w;
+    w.u16(static_cast<std::uint16_t>(ModelKind::Rbf));
+    w.u32(kMaxPoints);
+    w.u32(0);
+    const auto framed = encodeFrame(MsgType::PredictRequest, w.take());
+    const Frame frame = decodeFrame(framed);
+    ASSERT_EQ(frame.payload.size(), 10u);
+    EXPECT_THROW(parsePredictRequest(frame.payload), ProtocolError);
+}
+
+TEST(ServeProtocol, RejectsZeroDimensionEvalBatch)
+{
+    // 41 bytes: "mcf", metric, three u64s, n = 2^20 points of 0
+    // dimensions.
+    PayloadWriter w;
+    w.str("mcf");
+    w.u16(static_cast<std::uint16_t>(core::Metric::Cpi));
+    w.u64(100000);
+    w.u64(0);
+    w.u64(1);
+    w.u32(kMaxPoints);
+    w.u32(0);
+    const auto framed = encodeFrame(MsgType::EvalRequest, w.take());
+    const Frame frame = decodeFrame(framed);
+    ASSERT_EQ(frame.payload.size(), 41u);
+    EXPECT_THROW(parseEvalRequest(frame.payload), ProtocolError);
+}
+
+TEST(ServeProtocol, ZeroPointBatchesStillParse)
+{
+    // n == 0 with dims == 0 is the encoder's empty batch.
+    EXPECT_TRUE(parsePredictRequest(
+                    decodeFrame(encodePredictRequest(PredictRequest{}))
+                        .payload)
+                    .points.empty());
+}
+
+TEST(ServeProtocol, RejectsTraceSpanCountBeyondPayload)
+{
+    // 22 bytes: version, pid, dropped, empty endpoint and a span
+    // count of 65,536 with no span bytes behind it. It must be
+    // rejected before the 65,536-span vector (5.77 MB) is reserved.
+    PayloadWriter w;
+    w.u16(kTraceVersion);
+    w.u32(1);
+    w.u64(0);
+    w.str("");
+    w.u32(kMaxTraceSpans);
+    const auto framed = encodeFrame(MsgType::TraceResponse, w.take());
+    const Frame frame = decodeFrame(framed);
+    ASSERT_EQ(frame.payload.size(), 22u);
+    EXPECT_THROW(parseTraceResponse(frame.payload), ProtocolError);
 }
 
 TEST(ServeProtocol, BackoffDoublesAndSaturates)

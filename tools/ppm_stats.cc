@@ -162,7 +162,7 @@ rateTable(const ppm::obs::Snapshot &d, double seconds)
  * endpoint's own poll-to-poll delta — served request rate and
  * interval latency quantiles over the per-family slo.* histograms,
  * error-budget burn from the slo.errors.* counters, and the live
- * connection queue depth.
+ * queue depth: the workers serving a frame (serve.busy_workers).
  */
 std::string
 sloTable(const std::vector<std::string> &sockets, const PollResult &a,
@@ -207,7 +207,7 @@ sloTable(const std::vector<std::string> &sockets, const PollResult &a,
                 errors += c.value;
         long long queue = 0;
         for (const auto &g : b.per_endpoint[i]->gauges)
-            if (g.name == "serve.active_connections")
+            if (g.name == "serve.busy_workers")
                 queue = g.value;
         std::snprintf(
             line, sizeof(line),
