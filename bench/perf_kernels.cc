@@ -22,6 +22,7 @@
 #include "obs/trace_span.hh"
 #include "rbf/incremental.hh"
 #include "rbf/rbf_batch.hh"
+#include "rbf/train_kernels.hh"
 #include "sampling/batch_acquisition.hh"
 #include "train/online_trainer.hh"
 #include "sampling/discrepancy.hh"
@@ -188,6 +189,92 @@ BM_RbfTraining(benchmark::State &state)
 }
 BENCHMARK(BM_RbfTraining)->Unit(benchmark::kMillisecond)
     ->Arg(50)->Arg(90)->Arg(200);
+
+/**
+ * Training on the library's default grid (p_min {1, 2, 4} x alpha
+ * {2, 4, ..., 12}), the grid ppm_publish trains: three p_min rows share
+ * each alpha's candidate Gram.
+ */
+void
+BM_RbfTrainingDefaultGrid(benchmark::State &state)
+{
+    const auto d = fitData(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        auto model = rbf::trainRbfModel(d.xs, d.ys);
+        benchmark::DoNotOptimize(model.num_centers);
+    }
+}
+BENCHMARK(BM_RbfTrainingDefaultGrid)->Unit(benchmark::kMillisecond)
+    ->Arg(200);
+
+/**
+ * The training kernels per tier (arg: rbf::SimdKind, 0 scalar, 1 AVX2,
+ * 3 AVX-512; an unsupported tier is skipped). Gram: one 200-point
+ * design block of 399 candidates (the p_min = 1 tree of a 200-point
+ * sample) into a packed lower Gram. Residual: 100 centers' columns
+ * over 200 points (AVX-512 runs the AVX2 residual tile).
+ */
+bool
+simdTierSupported(benchmark::State &state, rbf::SimdKind kind)
+{
+    const rbf::SimdKind cpu = rbf::detectSimd();
+    const bool ok = kind == rbf::SimdKind::Scalar || kind == cpu ||
+                    (kind == rbf::SimdKind::Avx2 &&
+                     cpu == rbf::SimdKind::Avx512);
+    if (!ok)
+        state.SkipWithError("tier not supported here");
+    else
+        state.SetLabel(rbf::simdKindName(kind));
+    return ok;
+}
+
+void
+BM_GramKernel(benchmark::State &state)
+{
+    const auto kind = static_cast<rbf::SimdKind>(state.range(0));
+    if (!simdTierSupported(state, kind))
+        return;
+    constexpr std::size_t n = 399, rows = 200;
+    math::Rng rng(5);
+    std::vector<double> h(rows * n);
+    for (double &v : h)
+        v = rng.uniform() < 0.3 ? 0.0 : rng.uniform();
+    std::vector<double> g(rbf::packedRow(n));
+    for (auto _ : state) {
+        std::fill(g.begin(), g.end(), 0.0);
+        rbf::gramAccumulate(kind, h.data(), rows, n, g.data());
+        benchmark::DoNotOptimize(g.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_GramKernel)->ArgNames({"tier"})->Arg(0)->Arg(1)->Arg(3)
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_ResidualKernel(benchmark::State &state)
+{
+    const auto kind = static_cast<rbf::SimdKind>(state.range(0));
+    if (!simdTierSupported(state, kind))
+        return;
+    constexpr std::size_t m = 100, p = 200;
+    math::Rng rng(6);
+    std::vector<double> data(m * p), w(m), pred(p);
+    for (double &v : data)
+        v = rng.uniform();
+    for (double &v : w)
+        v = rng.gaussian();
+    std::vector<const double *> cols(m);
+    for (std::size_t j = 0; j < m; ++j)
+        cols[j] = data.data() + j * p;
+    for (auto _ : state) {
+        rbf::residualPredict(kind, cols.data(), w.data(), m, p,
+                             pred.data());
+        benchmark::DoNotOptimize(pred.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_ResidualKernel)->ArgNames({"tier"})->Arg(0)->Arg(1)->Arg(3)
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * The headline parallel-engine benchmark: a 200-point oracle batch

@@ -5,8 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <utility>
+
+#include "rbf/rbf_batch.hh"
+#include "rbf/train_kernels.hh"
 
 namespace ppm::rbf {
 
@@ -17,25 +21,27 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /** Sorted candidate indices of a center subset. */
 using Indices = std::vector<std::size_t>;
 
-/** Training points per design-matrix block in SubsetScorer. */
-constexpr std::size_t kDesignBlock = 256;
-
-/** Offset of row @p i in a packed lower-triangular matrix. */
-constexpr std::size_t
-packedRow(std::size_t i)
-{
-    return i * (i + 1) / 2;
-}
+/**
+ * Training points per design-matrix block in CandidateGram. The block
+ * is transient and point-major (~200 KB at 399 candidates); G
+ * continues across blocks from its stored partial sums, so the block
+ * size changes no bit. 256-point blocks measured ~1.3 MiB more peak
+ * RSS in the warm Table 3 build benchmark.
+ */
+constexpr std::size_t kDesignBlock = 64;
 
 /**
- * Scores center subsets against the training data.
+ * Scores center subsets of one grid cell against the training data.
  *
- * The full-candidate Gram matrix G = H^T H and correlation vector
- * H^T y are computed once. Scoring a subset S solves the normal
- * equations G[S,S] w = (H^T y)[S] by Cholesky and takes the SSE from
- * the actual residuals y - H[:,S] w, never from the shortcut
- * y^T y - w^T (H^T y)[S], which cancels catastrophically when G[S,S]
- * is near singular.
+ * The Gram matrix G = H^T H and correlation vector H^T y come from a
+ * CandidateGram shared with the other cells of the same alpha; the
+ * cell's candidate k is the shared candidate fine_index[k]. The map
+ * ascends, so a sorted subset maps to a sorted subset and every
+ * G(s_i, s_j) read (j <= i) lies in the packed lower triangle. Scoring
+ * a subset S solves the normal equations G[S,S] w = (H^T y)[S] by
+ * Cholesky and takes the SSE from the actual residuals y - H[:,S] w,
+ * never from the shortcut y^T y - w^T (H^T y)[S], which cancels
+ * catastrophically when G[S,S] is near singular.
  *
  * Every score reuses the incumbent subset's factor. math::cholesky is
  * left-looking, so row i of L depends only on the leading
@@ -43,8 +49,8 @@ packedRow(std::size_t i)
  * whose first q sorted indices equal the incumbent's has the
  * incumbent's first q rows of L and of z = L^-1 (H^T y)[S], bit for
  * bit. Only rows q..m-1 are computed, one at a time, reading G
- * straight from the Gram matrix. The back substitution, the ridge
- * fallback and the residual pass run from scratch in
+ * straight from the shared Gram matrix. The back substitution, the
+ * ridge fallback and the residual pass run from scratch in
  * math::choleskySolve's summation order, so every weight and SSE
  * equals a from-scratch fit's.
  *
@@ -56,69 +62,17 @@ packedRow(std::size_t i)
 class SubsetScorer
 {
   public:
-    SubsetScorer(const std::vector<GaussianBasis> &candidates,
-                 const std::vector<dspace::UnitPoint> &xs,
-                 const std::vector<double> &ys,
+    SubsetScorer(const CandidateGram &gram,
+                 const std::vector<std::size_t> &fine_index,
                  const RbfRtOptions &options)
-        : p_(xs.size()), ys_(ys), criterion_(options.criterion),
-          max_centers_(options.max_centers)
+        : gram_(gram), fine_index_(fine_index), p_(gram.points()),
+          criterion_(options.criterion),
+          max_centers_(options.max_centers), kind_(activeSimd())
     {
-        // H is evaluated a block of points at a time and kept only
-        // candidate-major, so the residual pass reads whole columns and
-        // H is never held in both layouts. G = H^T H and H^T y
-        // accumulate point by point in Matrix::gram()'s and
-        // Matrix::transposeTimes()'s order.
-        const std::size_t n = candidates.size();
-        const BatchPlan plan(candidates, {});
-        for (std::size_t r0 = 0; r0 < p_; r0 += kDesignBlock) {
-            const std::size_t r1 = std::min(p_, r0 + kDesignBlock);
-            const math::Matrix h =
-                plan.designMatrix({xs.begin() + r0, xs.begin() + r1});
-            if (r0 == 0) {
-                // Allocated after the first block on purpose: allocated
-                // before it, these raised the peak RSS of the Table 3
-                // build benchmark by ~5% (glibc malloc, 4 threads).
-                gram_ = math::Matrix(n, n);
-                hty_.assign(n, 0.0);
-                ht_ = math::Matrix(n, p_);
-            }
-            double *hty = hty_.data();
-            for (std::size_t r = r0; r < r1; ++r) {
-                const double *a = h.rowPtr(r - r0);
-                const double yr = ys[r];
-                for (std::size_t i = 0; i < n; ++i)
-                    hty[i] += a[i] * yr;
-                for (std::size_t i = 0; i < n; ++i) {
-                    const double ai = a[i];
-                    if (ai == 0.0)
-                        continue;
-                    double *g = gram_.rowPtr(i);
-                    for (std::size_t j = i; j < n; ++j)
-                        g[j] += ai * a[j];
-                }
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                double *t = ht_.rowPtr(i);
-                for (std::size_t r = r0; r < r1; ++r)
-                    t[r] = h.rowPtr(r - r0)[i];
-            }
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t j = 0; j < i; ++j)
-                gram_(i, j) = gram_(j, i);
-        double y_abs_max = 0.0;
-        for (double y : ys) {
-            yty_ += y * y;
-            y_abs_max = std::max(y_abs_max, std::fabs(y));
-        }
-        // Subsets whose fit needs absurdly large (cancelling) weights
-        // are numerically degenerate: they look perfect on the
-        // training points and explode everywhere else.
-        weight_cap_ = 1e4 * (y_abs_max + 1.0);
         pred_.resize(p_);
         // score() admits at most p - 3 centers (and max_centers); the
         // final fit may fall back to the root alone.
-        std::size_t cap = std::min(candidates.size(),
+        std::size_t cap = std::min(fine_index.size(),
                                    p_ >= 3 ? p_ - 3 : 0);
         if (max_centers_)
             cap = std::min(cap, max_centers_);
@@ -140,9 +94,9 @@ class SubsetScorer
             return kInf;
         if (m + 2 >= p_)
             return kInf;
-        if (solve(s) > weight_cap_)
+        if (solve(s) > gram_.weightCap())
             return kInf;
-        return evaluateCriterion(criterion_, p_, m, residualSse(s));
+        return evaluateCriterion(criterion_, p_, m, residualSse(m));
     }
 
     /** Keep the subset scored last as the round's best so far. */
@@ -170,7 +124,7 @@ class SubsetScorer
     fit(const Indices &s)
     {
         solve(s);
-        return {{weights_.data(), s.size()}, residualSse(s)};
+        return {{weights_.data(), s.size()}, residualSse(s.size())};
     }
 
   private:
@@ -199,11 +153,13 @@ class SubsetScorer
         }
         rowp_.resize(m);
         weights_.resize(m);
+        fine_.resize(m);
+        cols_.resize(m);
     }
 
     /**
      * Solve G[S,S] w = (H^T y)[S] into weights_, reusing the rows the
-     * incumbent shares with @p s.
+     * incumbent shares with @p s, and map @p s into fine_.
      *
      * @return max |w|.
      */
@@ -212,6 +168,10 @@ class SubsetScorer
     {
         const std::size_t m = s.size();
         reserve(m);
+        for (std::size_t i = 0; i < m; ++i) {
+            fine_[i] = fine_index_[s[i]];
+            assert(i == 0 || fine_[i - 1] < fine_[i]);
+        }
         const std::size_t limit =
             std::min({m, inc_.idx.size(), inc_.clean});
         std::size_t q = 0;
@@ -251,7 +211,8 @@ class SubsetScorer
      * ridge * (1 + G(i,i)) on the diagonal) and the matching entries
      * of z into @p out, in math::cholesky's operation order:
      * l(i,j) = (G(i,j) - sum_{k<j} l(i,k) l(j,k)) / l(j,j), k
-     * ascending. Rows below q are read through rowp_.
+     * ascending. Rows below q are read through rowp_; G and H^T y
+     * through fine_.
      *
      * @return m, or the first row whose diagonal is not positive.
      */
@@ -259,17 +220,18 @@ class SubsetScorer
     factor(const Indices &s, std::size_t q, Factor &out, double ridge)
     {
         const std::size_t m = s.size();
+        const std::vector<double> &hty = gram_.hty();
         for (std::size_t i = q; i < m; ++i) {
             double *li = out.rows.data() + packedRow(i);
-            const double *gi = gram_.rowPtr(s[i]);
+            const double *gi = gram_.gramRow(fine_[i]);
             for (std::size_t j = 0; j < i; ++j) {
                 const double *lj = rowp_[j];
-                double acc = gi[s[j]];
+                double acc = gi[fine_[j]];
                 for (std::size_t k = 0; k < j; ++k)
                     acc -= li[k] * lj[k];
                 li[j] = acc / lj[j];
             }
-            double diag = gi[s[i]];
+            double diag = gi[fine_[i]];
             if (ridge > 0.0)
                 diag += ridge * (1.0 + diag);
             for (std::size_t k = 0; k < i; ++k)
@@ -278,7 +240,7 @@ class SubsetScorer
                 return i;
             li[i] = std::sqrt(diag);
             rowp_[i] = li;
-            double acc = hty_[s[i]];
+            double acc = hty[fine_[i]];
             for (std::size_t k = 0; k < i; ++k)
                 acc -= li[k] * out.z[k];
             out.z[i] = acc / li[i];
@@ -299,40 +261,34 @@ class SubsetScorer
     }
 
     /**
-     * Residual SSE of weights_ on subset @p s: per point, the sum over
-     * centers in order; then the squared errors in point order.
+     * Residual SSE of weights_ on the m centers in fine_: per point,
+     * the sum over centers in order; then the squared errors in point
+     * order.
      */
     double
-    residualSse(const Indices &s)
+    residualSse(std::size_t m)
     {
-        if (s.empty())
-            return yty_;
-        std::fill(pred_.begin(), pred_.end(), 0.0);
-        double *pred = pred_.data();
-        for (std::size_t j = 0; j < s.size(); ++j) {
-            const double w = weights_[j];
-            const double *col = ht_.rowPtr(s[j]);
-            for (std::size_t i = 0; i < p_; ++i)
-                pred[i] += w * col[i];
-        }
+        if (m == 0)
+            return gram_.yty();
+        for (std::size_t j = 0; j < m; ++j)
+            cols_[j] = gram_.designT().rowPtr(fine_[j]);
+        residualPredict(kind_, cols_.data(), weights_.data(), m, p_,
+                        pred_.data());
+        const std::vector<double> &ys = gram_.responses();
         double sse = 0.0;
         for (std::size_t i = 0; i < p_; ++i) {
-            const double e = ys_[i] - pred[i];
+            const double e = ys[i] - pred_[i];
             sse += e * e;
         }
         return sse;
     }
 
+    const CandidateGram &gram_;
+    const std::vector<std::size_t> &fine_index_;
     std::size_t p_;
-    std::vector<double> ys_;
     Criterion criterion_;
     std::size_t max_centers_;
-    /** Design matrix H transposed: one row per candidate. */
-    math::Matrix ht_;
-    math::Matrix gram_;
-    math::Vector hty_;
-    double yty_ = 0.0;
-    double weight_cap_ = 1e12;
+    SimdKind kind_;
 
     Factor inc_;
     Factor cand_;
@@ -342,6 +298,10 @@ class SubsetScorer
     /** Row i of the factor being solved. */
     std::vector<const double *> rowp_;
     std::vector<double> weights_;
+    /** The subset solved last, as shared candidate indices. */
+    Indices fine_;
+    /** Its H^T rows, for the residual pass. */
+    std::vector<const double *> cols_;
     std::vector<double> pred_;
 };
 
@@ -488,42 +448,140 @@ candidateBases(const std::vector<tree::NodeInfo> &nodes, double alpha,
     return bases;
 }
 
+PrunedNodes
+pruneNodes(const std::vector<tree::NodeInfo> &fine, int p_min)
+{
+    assert(!fine.empty() && p_min >= 1);
+    const auto cut = static_cast<std::size_t>(p_min);
+    PrunedNodes out;
+    // Walking the finer list in order visits the kept nodes in the
+    // coarser tree's breadth-first order, so children are numbered
+    // as RegressionTree::nodes() numbers them.
+    std::vector<bool> kept(fine.size(), false);
+    kept[0] = true;
+    std::size_t next_index = 1;
+    for (std::size_t f = 0; f < fine.size(); ++f) {
+        if (!kept[f])
+            continue;
+        tree::NodeInfo node = fine[f];
+        if (!node.is_leaf && node.count > cut) {
+            kept[node.left_child] = true;
+            kept[node.right_child] = true;
+            node.left_child = next_index++;
+            node.right_child = next_index++;
+        } else {
+            node.is_leaf = true;
+            node.left_child = tree::NodeInfo::npos;
+            node.right_child = tree::NodeInfo::npos;
+        }
+        out.nodes.push_back(std::move(node));
+        out.fine_index.push_back(f);
+    }
+    return out;
+}
+
+CandidateGram::CandidateGram(const std::vector<tree::NodeInfo> &nodes,
+                             const std::vector<dspace::UnitPoint> &xs,
+                             const std::vector<double> &ys, double alpha,
+                             double min_radius)
+    : alpha_(alpha), min_radius_(min_radius), ys_(ys)
+{
+    assert(xs.size() == ys.size());
+    assert(!xs.empty());
+    // H is evaluated a block of points at a time and kept only
+    // candidate-major, so the residual pass reads whole columns and
+    // H is never held in both layouts. G and H^T y accumulate point
+    // by point in Matrix::gram()'s and Matrix::transposeTimes()'s
+    // order; the Gram tiles continue across blocks from their stored
+    // partial sums.
+    const std::size_t n = nodes.size();
+    const std::size_t p = xs.size();
+    const SimdKind kind = activeSimd();
+    const BatchPlan plan(candidateBases(nodes, alpha, min_radius), {});
+    for (std::size_t r0 = 0; r0 < p; r0 += kDesignBlock) {
+        const std::size_t r1 = std::min(p, r0 + kDesignBlock);
+        const math::Matrix h =
+            plan.designMatrix({xs.begin() + r0, xs.begin() + r1});
+        if (r0 == 0) {
+            // Allocated after the first block on purpose: allocated
+            // before it, these raised the peak RSS of the Table 3
+            // build benchmark by ~5% (glibc malloc, 4 threads).
+            gram_.assign(packedRow(n), 0.0);
+            hty_.assign(n, 0.0);
+            ht_ = math::Matrix(n, p);
+        }
+        for (std::size_t r = r0; r < r1; ++r) {
+            const double *a = h.rowPtr(r - r0);
+            const double yr = ys[r];
+            for (std::size_t i = 0; i < n; ++i)
+                hty_[i] += a[i] * yr;
+        }
+        gramAccumulate(kind, h.rowPtr(0), r1 - r0, n, gram_.data());
+        for (std::size_t i = 0; i < n; ++i) {
+            double *t = ht_.rowPtr(i);
+            for (std::size_t r = r0; r < r1; ++r)
+                t[r] = h.rowPtr(r - r0)[i];
+        }
+    }
+    double y_abs_max = 0.0;
+    for (double y : ys) {
+        yty_ += y * y;
+        y_abs_max = std::max(y_abs_max, std::fabs(y));
+    }
+    weight_cap_ = 1e4 * (y_abs_max + 1.0);
+}
+
+const double *
+CandidateGram::gramRow(std::size_t i) const
+{
+    assert(i < hty_.size());
+    return gram_.data() + packedRow(i);
+}
+
+RbfRtResult
+buildRbfFromGram(const CandidateGram &gram, const PrunedNodes &cell,
+                 const RbfRtOptions &options)
+{
+    assert(cell.nodes.size() == cell.fine_index.size());
+    SubsetScorer scorer(gram, cell.fine_index, options);
+    if (options.selection == Selection::TreeOrdered)
+        treeOrderedSelect(scorer, cell.nodes);
+    else
+        greedySelect(scorer, cell.nodes.size());
+
+    Indices selected = scorer.incumbent();
+    if (selected.empty())
+        selected.push_back(0);
+    std::vector<tree::NodeInfo> chosen;
+    chosen.reserve(selected.size());
+    for (std::size_t i : selected)
+        chosen.push_back(cell.nodes[i]);
+
+    RbfRtResult result;
+    result.num_candidates = cell.nodes.size();
+    const auto fit = scorer.fit(selected);
+    result.network = RbfNetwork(
+        candidateBases(chosen, gram.alpha(), gram.minRadius()),
+        {fit.weights.begin(), fit.weights.end()});
+    result.train_sse = fit.sse;
+    result.criterion_value = evaluateCriterion(
+        options.criterion, gram.points(), selected.size(), result.train_sse);
+    return result;
+}
+
 RbfRtResult
 buildRbfFromTree(const tree::RegressionTree &tree,
                  const std::vector<dspace::UnitPoint> &xs,
                  const std::vector<double> &ys,
                  const RbfRtOptions &options)
 {
-    assert(xs.size() == ys.size());
-    assert(!xs.empty());
-
-    const auto nodes = tree.nodes();
-    const auto candidates =
-        candidateBases(nodes, options.alpha, options.min_radius);
-    SubsetScorer scorer(candidates, xs, ys, options);
-
-    if (options.selection == Selection::TreeOrdered)
-        treeOrderedSelect(scorer, nodes);
-    else
-        greedySelect(scorer, nodes.size());
-
-    Indices selected = scorer.incumbent();
-    if (selected.empty())
-        selected.push_back(0);
-    std::vector<GaussianBasis> bases;
-    bases.reserve(selected.size());
-    for (std::size_t i : selected)
-        bases.push_back(candidates[i]);
-
-    RbfRtResult result;
-    result.num_candidates = candidates.size();
-    const auto fit = scorer.fit(selected);
-    result.network = RbfNetwork(
-        std::move(bases), {fit.weights.begin(), fit.weights.end()});
-    result.train_sse = fit.sse;
-    result.criterion_value = evaluateCriterion(
-        options.criterion, xs.size(), selected.size(), result.train_sse);
-    return result;
+    PrunedNodes all;
+    all.nodes = tree.nodes();
+    all.fine_index.resize(all.nodes.size());
+    std::iota(all.fine_index.begin(), all.fine_index.end(), 0);
+    const CandidateGram gram(all.nodes, xs, ys, options.alpha,
+                             options.min_radius);
+    return buildRbfFromGram(gram, all, options);
 }
 
 } // namespace ppm::rbf

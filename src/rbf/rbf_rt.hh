@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "dspace/design_space.hh"
+#include "math/matrix.hh"
 #include "rbf/criteria.hh"
 #include "rbf/network.hh"
 #include "tree/regression_tree.hh"
@@ -76,7 +77,7 @@ struct RbfRtResult
 
 /**
  * Build an RBF network from a fitted regression tree and its training
- * data.
+ * data: buildRbfFromGram() over the tree's own candidates.
  *
  * @param tree Regression tree fitted to (xs, ys).
  * @param xs Training inputs (unit space).
@@ -87,6 +88,104 @@ RbfRtResult buildRbfFromTree(const tree::RegressionTree &tree,
                              const std::vector<dspace::UnitPoint> &xs,
                              const std::vector<double> &ys,
                              const RbfRtOptions &options = {});
+
+/**
+ * A tree's node list together with each node's position in a finer
+ * tree's list over the same sample.
+ */
+struct PrunedNodes
+{
+    /** Breadth-first node list, as tree::RegressionTree::nodes(). */
+    std::vector<tree::NodeInfo> nodes;
+    /** nodes[k] is node fine_index[k] of the finer list (ascending). */
+    std::vector<std::size_t> fine_index;
+};
+
+/**
+ * The node list RegressionTree(xs, ys, p_min).nodes() would give, cut
+ * from the list @p fine of a tree grown on the same (xs, ys) with a
+ * p_min no larger. A node's points, split and statistics do not depend
+ * on p_min; only the stop rule (count <= p_min) does, so the coarser
+ * tree is the finer one with every node of <= p_min points made a
+ * leaf. Breadth-first order restricted to the kept nodes is the
+ * coarser tree's breadth-first order, so fine_index ascends.
+ */
+PrunedNodes pruneNodes(const std::vector<tree::NodeInfo> &fine,
+                       int p_min);
+
+/**
+ * Everything subset selection reads about one alpha's candidate bases
+ * over a node list (candidateBases()): the candidate-major design
+ * matrix H^T, the packed lower triangle of G = H^T H, H^T y, y^T y and
+ * the weight cap. Every entry is summed over the points in ascending
+ * order, so an entry depends only on its own two candidates: the data
+ * of a pruned list's candidates are read from the finer list's, bit
+ * for bit. Immutable after construction, and shared read-only by every
+ * p_min cell of the grid search.
+ */
+class CandidateGram
+{
+  public:
+    /**
+     * @param nodes Candidate node list (a tree's finest list).
+     * @param xs Training inputs (unit space).
+     * @param ys Training responses.
+     * @param alpha Radius scale (RbfRtOptions::alpha).
+     * @param min_radius Radius floor (RbfRtOptions::min_radius).
+     */
+    CandidateGram(const std::vector<tree::NodeInfo> &nodes,
+                  const std::vector<dspace::UnitPoint> &xs,
+                  const std::vector<double> &ys, double alpha,
+                  double min_radius);
+
+    /** Radius scale of the candidates. */
+    double alpha() const { return alpha_; }
+    /** Radius floor of the candidates. */
+    double minRadius() const { return min_radius_; }
+    /** Number of training points. */
+    std::size_t points() const { return ys_.size(); }
+    /** Training responses. */
+    const std::vector<double> &responses() const { return ys_; }
+    /** H^T: row i holds candidate i's response at every point. */
+    const math::Matrix &designT() const { return ht_; }
+    /** Row i of G's packed lower triangle: G(i, j) for j <= i. */
+    const double *gramRow(std::size_t i) const;
+    /** H^T y. */
+    const std::vector<double> &hty() const { return hty_; }
+    /** y^T y. */
+    double yty() const { return yty_; }
+    /**
+     * Largest |w| of a usable fit: subsets whose fit needs absurdly
+     * large (cancelling) weights are numerically degenerate.
+     */
+    double weightCap() const { return weight_cap_; }
+
+  private:
+    double alpha_;
+    double min_radius_;
+    std::vector<double> ys_;
+    math::Matrix ht_;
+    std::vector<double> gram_;
+    std::vector<double> hty_;
+    double yty_ = 0.0;
+    double weight_cap_ = 1e12;
+};
+
+/**
+ * Select and fit one grid cell's network over shared candidate data.
+ * Subset selection walks @p cell.nodes; candidate k is @p gram's
+ * candidate cell.fine_index[k]. The result is bit-identical to
+ * buildRbfFromTree() on the tree @p cell.nodes came from, with
+ * @p gram's alpha.
+ *
+ * @param gram Candidate data over the finer node list.
+ * @param cell The cell's nodes (pruneNodes(), or an identity map).
+ * @param options criterion, selection and max_centers are read; alpha
+ *        and min_radius are @p gram's.
+ */
+RbfRtResult buildRbfFromGram(const CandidateGram &gram,
+                             const PrunedNodes &cell,
+                             const RbfRtOptions &options);
 
 /**
  * Turn tree nodes into candidate bases (centers at hyper-rectangle

@@ -50,6 +50,27 @@ struct TrainedRbf
     std::size_t num_centers = 0;
 };
 
+/** One (p_min, alpha) cell of the grid search and its fit. */
+struct GridFit
+{
+    int p_min = 0;
+    double alpha = 0.0;
+    RbfRtResult fit;
+};
+
+/**
+ * Fit every (p_min, alpha) cell of the grid, p_min-major in grid
+ * order. Only the tree of the smallest p_min is grown; every other
+ * p_min's node list is cut from it (pruneNodes()). Each alpha's
+ * candidate data are built once over that finest list and shared by
+ * the alpha's cells (CandidateGram), so each cell is bit-identical to
+ * buildRbfFromTree() on RegressionTree(xs, ys, p_min), at any
+ * PPM_THREADS.
+ */
+std::vector<GridFit> fitGrid(const std::vector<dspace::UnitPoint> &xs,
+                             const std::vector<double> &ys,
+                             const TrainerOptions &options);
+
 /**
  * Grid-search (p_min, alpha) and return the model with the lowest
  * criterion value.

@@ -1,5 +1,6 @@
 #include "sampling/discrepancy.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -58,17 +59,40 @@ centeredL2Discrepancy(const std::vector<dspace::UnitPoint> &unit)
         sum1 += prod;
     }
 
+    // The pair sum, lane-parallel over j. Per (point, dim) the loop
+    // reads u, 1 + 0.5 z and 0.5 z, dimension-major and padded to
+    // whole blocks of j; each pair's term keeps the expression
+    // ((1 + 0.5 z_i) + 0.5 z_j) - 0.5 |u_i - u_j|, its product runs
+    // over k ascending, and the products join sum2 in (i, j) order.
+    constexpr std::size_t kLanes = 8;
+    const std::size_t stride = (p + kLanes - 1) / kLanes * kLanes;
+    std::vector<double> u(d * stride, 0.5);
+    std::vector<double> one_half_z(d * stride, 1.0);
+    std::vector<double> half_z(d * stride, 0.0);
+    for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t k = 0; k < d; ++k) {
+            const double z = std::fabs(unit[i][k] - 0.5);
+            u[k * stride + i] = unit[i][k];
+            one_half_z[k * stride + i] = 1.0 + 0.5 * z;
+            half_z[k * stride + i] = 0.5 * z;
+        }
+    }
     double sum2 = 0.0;
     for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = 0; j < p; ++j) {
-            double prod = 1.0;
+        for (std::size_t j0 = 0; j0 < p; j0 += kLanes) {
+            double prod[kLanes];
+            std::fill_n(prod, kLanes, 1.0);
             for (std::size_t k = 0; k < d; ++k) {
-                const double zi = std::fabs(unit[i][k] - 0.5);
-                const double zj = std::fabs(unit[j][k] - 0.5);
-                const double dij = std::fabs(unit[i][k] - unit[j][k]);
-                prod *= 1.0 + 0.5 * zi + 0.5 * zj - 0.5 * dij;
+                const double ui = u[k * stride + i];
+                const double ai = one_half_z[k * stride + i];
+                const double *uj = &u[k * stride + j0];
+                const double *bj = &half_z[k * stride + j0];
+                for (std::size_t l = 0; l < kLanes; ++l)
+                    prod[l] *= (ai + bj[l]) - 0.5 * std::fabs(ui - uj[l]);
             }
-            sum2 += prod;
+            const std::size_t lanes = std::min(kLanes, p - j0);
+            for (std::size_t l = 0; l < lanes; ++l)
+                sum2 += prod[l];
         }
     }
 

@@ -148,21 +148,22 @@ ShardedClient::exchange(
                 fd = connect(endpoint_index);
                 reply = roundTrip(fd);
             }
-            if (reply->type == MsgType::Error) {
-                // A semantic rejection (unknown benchmark, bad
-                // dimensionality) will not improve with retries;
-                // evaluate locally, where the same condition raises
-                // a meaningful exception.
-                break;
-            }
-            if (reply->type != expect)
+            // A semantic rejection (unknown benchmark, bad
+            // dimensionality) will not improve with retries, and says
+            // nothing about the endpoint: evaluate locally, where the
+            // same condition raises a meaningful exception, and keep
+            // the endpoint and its connection for the next call.
+            const bool rejected = reply->type == MsgType::Error;
+            if (!rejected && reply->type != expect)
                 throw ProtocolError("unexpected reply type");
-            if (validate)
+            if (!rejected && validate)
                 validate(*reply);
             std::lock_guard<std::mutex> lock(pool_mutex_);
             std::vector<FdGuard> &idle = idle_[endpoint_index];
             if (idle.size() < options_.max_connections)
                 idle.push_back(std::move(fd));
+            if (rejected)
+                return std::nullopt;
             return reply;
         } catch (const IoError &) {
             // Unreachable, reset, or timed out: retry with backoff.

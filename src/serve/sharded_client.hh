@@ -113,16 +113,18 @@ class ShardedClient
      * One request/reply exchange against an endpoint, with the full
      * connect-timeout / retry / backoff / dead-latch schedule. An
      * attempt takes an idle pooled connection when there is one and
-     * connects otherwise; the connection goes back to the pool only
-     * after a reply of type @p expect that @p validate accepted. A
-     * pooled connection that fails with PeerClosedError (the server
-     * closed it while idle, e.g. on a restart) is replaced by one
-     * fresh connect within the same attempt. An Error reply aborts
-     * without further retries (a semantic rejection will not
-     * improve); any other reply type than @p expect — or a
-     * @p validate callback throwing ProtocolError — marks the
-     * transport suspect and retries. Every failure closes the
-     * connection.
+     * connects otherwise; the connection goes back to the pool after
+     * a well-formed reply: one of type @p expect that @p validate
+     * accepted, or an Error. A pooled connection that fails with
+     * PeerClosedError (the server closed it while idle, e.g. on a
+     * restart) is replaced by one fresh connect within the same
+     * attempt. An Error reply returns at once, without further
+     * retries and without latching the endpoint dead: a semantic
+     * rejection (a point outside the trained space, an unknown
+     * benchmark) will not improve, and the next request may be
+     * valid. Any other reply type than @p expect — or a @p validate
+     * callback throwing ProtocolError — marks the transport suspect
+     * and retries. Every failure closes the connection.
      *
      * @return The reply frame (type == @p expect), or nullopt when
      *         the endpoint is dead, all attempts failed (the endpoint

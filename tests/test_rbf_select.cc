@@ -392,8 +392,8 @@ TEST(RbfSelectReference, MatchesFromScratchSelectionBitForBit)
 
 TEST(RbfSelectReference, MatchesOnSamplesSpanningDesignBlocks)
 {
-    // The scorer evaluates the design matrix 256 points at a time;
-    // 600 points make two full blocks and a partial one.
+    // The scorer evaluates the design matrix 64 points at a time;
+    // 600 points make nine full blocks and a partial one.
     math::Rng rng(600);
     std::vector<dspace::UnitPoint> xs;
     std::vector<double> ys;

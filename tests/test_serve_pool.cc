@@ -7,11 +7,12 @@
  * connection does not block a 1-worker server; repeated calls reuse
  * one connection (or at most max_connections); a server restarted on
  * the same path is reconnected to inside the same attempt (no retry,
- * no dead latch, same bits); stop() returns promptly with pooled
- * connections open; concurrent callers of one client get the same
- * bits; forEachChunk runs every chunk once under the caller's trace
- * context and rethrows a chunk's exception; and a failing accept
- * (EMFILE) does not spin.
+ * no dead latch, same bits); an Error reply neither latches the
+ * endpoint dead nor drops its connection; stop() returns promptly
+ * with pooled connections open; concurrent callers of one client get
+ * the same bits; forEachChunk runs every chunk once under the
+ * caller's trace context and rethrows a chunk's exception; and a
+ * failing accept (EMFILE) does not spin.
  */
 
 #include <gtest/gtest.h>
@@ -252,6 +253,30 @@ TEST(ServePool, RestartOnTheSamePathReconnectsWithinTheAttempt)
     EXPECT_EQ(oracle.fallbackPoints(), 0u);
     EXPECT_EQ(counterValue("remote.retries"), retries0);
     EXPECT_EQ(counterValue("remote.dead_latches"), latches0);
+}
+
+TEST(ServePool, ErrorReplyKeepsTheEndpointAndItsConnection)
+{
+    PredictServer ps("reject", 2);
+    serve::PredictOracle oracle(ps.snap, ps.remote(8, 2));
+    const std::uint64_t connects0 = counterValue(ps.connectsCounter());
+    const std::uint64_t latches0 = counterValue("remote.dead_latches");
+
+    // Far outside the trained space: the server replies Error, and
+    // the local fallback raises the same rejection.
+    const dspace::DesignPoint outside(ps.snap.space.size(), 1e9);
+    EXPECT_THROW(oracle.cpi(outside), serve::SnapshotError);
+    EXPECT_EQ(oracle.remotePoints(), 0u);
+
+    // The next valid point is still served remotely, over the same
+    // connection.
+    const dspace::DesignPoint inside = queryBatch(1, 6).front();
+    EXPECT_TRUE(sameBits({oracle.cpi(inside)},
+                         serve::predictWithSnapshot(ps.snap, {inside})));
+    EXPECT_EQ(oracle.remotePoints(), 1u);
+    EXPECT_EQ(oracle.fallbackPoints(), 0u);
+    EXPECT_EQ(counterValue("remote.dead_latches"), latches0);
+    EXPECT_EQ(counterValue(ps.connectsCounter()) - connects0, 1u);
 }
 
 TEST(ServePool, StopWithIdlePooledConnectionsReturnsPromptly)
