@@ -333,24 +333,33 @@ BatchPlan::~BatchPlan()
 namespace {
 
 /**
- * Bit-compatible reference: the exact operation order of the legacy
- * GaussianBasis::evaluate / RbfNetwork::predict AoS loop, read from
- * the dimension-major layout.
+ * Exponent e_j = sum_k (x_k - c_k)^2 / r_k^2 of basis j, in the exact
+ * operation order of the legacy GaussianBasis::evaluate AoS loop, read
+ * from the dimension-major layout. Both scalar kernels call it, so the
+ * scalar path stays bit-compatible with that loop.
  */
+inline double
+exponentScalar(const double *x, const double *centers,
+               const double *inv_r_sq, std::size_t j, std::size_t dims,
+               std::size_t padded)
+{
+    double exponent = 0.0;
+    for (std::size_t k = 0; k < dims; ++k) {
+        const double d = x[k] - centers[k * padded + j];
+        exponent += d * d * inv_r_sq[k * padded + j];
+    }
+    return exponent;
+}
+
 double
 predictOneScalar(const double *x, const double *centers,
                  const double *inv_r_sq, const double *weights,
                  std::size_t m, std::size_t dims, std::size_t padded)
 {
     double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-        double exponent = 0.0;
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double d = x[k] - centers[k * padded + j];
-            exponent += d * d * inv_r_sq[k * padded + j];
-        }
-        acc += weights[j] * std::exp(-exponent);
-    }
+    for (std::size_t j = 0; j < m; ++j)
+        acc += weights[j] * std::exp(-exponentScalar(
+                                x, centers, inv_r_sq, j, dims, padded));
     return acc;
 }
 
@@ -359,77 +368,63 @@ basisRowScalar(const double *x, double *h, const double *centers,
                const double *inv_r_sq, std::size_t m,
                std::size_t dims, std::size_t padded)
 {
-    for (std::size_t j = 0; j < m; ++j) {
-        double exponent = 0.0;
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double d = x[k] - centers[k * padded + j];
-            exponent += d * d * inv_r_sq[k * padded + j];
-        }
-        h[j] = std::exp(-exponent);
-    }
+    for (std::size_t j = 0; j < m; ++j)
+        h[j] = std::exp(
+            -exponentScalar(x, centers, inv_r_sq, j, dims, padded));
 }
 
 #if defined(PPM_SIMD_HAVE_AVX2)
+
+/**
+ * Exponents -e of the 16-basis block at @p jb, as four independent
+ * 4-lane blocks (padded is a multiple of 16): the exponent
+ * accumulations and the exp Horner chains of the blocks carry no
+ * dependencies on each other, so the out-of-order core overlaps their
+ * latency. The sum accumulates as +e by fmadd and is negated as 0 - e.
+ */
+__attribute__((target("avx2,fma"))) inline void
+exponentsAvx2(const double *x, const double *centers,
+              const double *inv_r_sq, std::size_t dims,
+              std::size_t padded, std::size_t jb, __m256d e[4])
+{
+    for (int b = 0; b < 4; ++b)
+        e[b] = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < dims; ++k) {
+        const double *c_row = centers + k * padded + jb;
+        const double *ir_row = inv_r_sq + k * padded + jb;
+        const __m256d xk = _mm256_set1_pd(x[k]);
+        for (int b = 0; b < 4; ++b) {
+            const __m256d d =
+                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 4 * b));
+            e[b] = _mm256_fmadd_pd(_mm256_mul_pd(d, d),
+                                   _mm256_load_pd(ir_row + 4 * b), e[b]);
+        }
+    }
+    for (int b = 0; b < 4; ++b)
+        e[b] = _mm256_sub_pd(_mm256_setzero_pd(), e[b]);
+}
 
 __attribute__((target("avx2,fma"))) double
 predictOneAvx2(const double *x, const double *centers,
                const double *inv_r_sq, const double *weights,
                std::size_t dims, std::size_t padded)
 {
-    // Four independent 4-lane blocks per iteration (padded is a
-    // multiple of 16): the exponent accumulations and the exp Horner
-    // chains of the blocks carry no dependencies on each other, so
-    // the out-of-order core overlaps their latency.
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    __m256d acc2 = _mm256_setzero_pd();
-    __m256d acc3 = _mm256_setzero_pd();
+    __m256d acc[4];
+    for (int b = 0; b < 4; ++b)
+        acc[b] = _mm256_setzero_pd();
     for (std::size_t jb = 0; jb < padded; jb += 16) {
-        __m256d e0 = _mm256_setzero_pd();
-        __m256d e1 = _mm256_setzero_pd();
-        __m256d e2 = _mm256_setzero_pd();
-        __m256d e3 = _mm256_setzero_pd();
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double *c_row = centers + k * padded + jb;
-            const double *ir_row = inv_r_sq + k * padded + jb;
-            const __m256d xk = _mm256_set1_pd(x[k]);
-            const __m256d d0 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 0));
-            const __m256d d1 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 4));
-            const __m256d d2 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 8));
-            const __m256d d3 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 12));
-            e0 = _mm256_fmadd_pd(_mm256_mul_pd(d0, d0),
-                                 _mm256_load_pd(ir_row + 0), e0);
-            e1 = _mm256_fmadd_pd(_mm256_mul_pd(d1, d1),
-                                 _mm256_load_pd(ir_row + 4), e1);
-            e2 = _mm256_fmadd_pd(_mm256_mul_pd(d2, d2),
-                                 _mm256_load_pd(ir_row + 8), e2);
-            e3 = _mm256_fmadd_pd(_mm256_mul_pd(d3, d3),
-                                 _mm256_load_pd(ir_row + 12), e3);
-        }
-        const __m256d z = _mm256_setzero_pd();
-        const __m256d h0 = exp4pd(_mm256_sub_pd(z, e0));
-        const __m256d h1 = exp4pd(_mm256_sub_pd(z, e1));
-        const __m256d h2 = exp4pd(_mm256_sub_pd(z, e2));
-        const __m256d h3 = exp4pd(_mm256_sub_pd(z, e3));
-        acc0 = _mm256_fmadd_pd(_mm256_load_pd(weights + jb + 0),
-                               h0, acc0);
-        acc1 = _mm256_fmadd_pd(_mm256_load_pd(weights + jb + 4),
-                               h1, acc1);
-        acc2 = _mm256_fmadd_pd(_mm256_load_pd(weights + jb + 8),
-                               h2, acc2);
-        acc3 = _mm256_fmadd_pd(_mm256_load_pd(weights + jb + 12),
-                               h3, acc3);
+        __m256d e[4];
+        exponentsAvx2(x, centers, inv_r_sq, dims, padded, jb, e);
+        for (int b = 0; b < 4; ++b)
+            acc[b] = _mm256_fmadd_pd(_mm256_load_pd(weights + jb + 4 * b),
+                                     exp4pd(e[b]), acc[b]);
     }
     // Deterministic reduction: blocks pairwise, then lanes
     // (a0+a2) + (a1+a3).
-    const __m256d acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1),
-                                      _mm256_add_pd(acc2, acc3));
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
+    const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc[0], acc[1]),
+                                      _mm256_add_pd(acc[2], acc[3]));
+    const __m128d lo = _mm256_castpd256_pd128(sum);
+    const __m128d hi = _mm256_extractf128_pd(sum, 1);
     const __m128d s = _mm_add_pd(lo, hi);
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
@@ -455,38 +450,11 @@ basisRowAvx2(const double *x, double *h, const double *centers,
              const double *inv_r_sq, std::size_t m, std::size_t dims,
              std::size_t padded)
 {
-    // Same four-block unroll as predictOneAvx2 (see there for why).
     for (std::size_t jb = 0; jb < padded; jb += 16) {
-        __m256d e0 = _mm256_setzero_pd();
-        __m256d e1 = _mm256_setzero_pd();
-        __m256d e2 = _mm256_setzero_pd();
-        __m256d e3 = _mm256_setzero_pd();
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double *c_row = centers + k * padded + jb;
-            const double *ir_row = inv_r_sq + k * padded + jb;
-            const __m256d xk = _mm256_set1_pd(x[k]);
-            const __m256d d0 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 0));
-            const __m256d d1 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 4));
-            const __m256d d2 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 8));
-            const __m256d d3 =
-                _mm256_sub_pd(xk, _mm256_load_pd(c_row + 12));
-            e0 = _mm256_fmadd_pd(_mm256_mul_pd(d0, d0),
-                                 _mm256_load_pd(ir_row + 0), e0);
-            e1 = _mm256_fmadd_pd(_mm256_mul_pd(d1, d1),
-                                 _mm256_load_pd(ir_row + 4), e1);
-            e2 = _mm256_fmadd_pd(_mm256_mul_pd(d2, d2),
-                                 _mm256_load_pd(ir_row + 8), e2);
-            e3 = _mm256_fmadd_pd(_mm256_mul_pd(d3, d3),
-                                 _mm256_load_pd(ir_row + 12), e3);
-        }
-        const __m256d z = _mm256_setzero_pd();
-        storeBlock(h, jb + 0, m, exp4pd(_mm256_sub_pd(z, e0)));
-        storeBlock(h, jb + 4, m, exp4pd(_mm256_sub_pd(z, e1)));
-        storeBlock(h, jb + 8, m, exp4pd(_mm256_sub_pd(z, e2)));
-        storeBlock(h, jb + 12, m, exp4pd(_mm256_sub_pd(z, e3)));
+        __m256d e[4];
+        exponentsAvx2(x, centers, inv_r_sq, dims, padded, jb, e);
+        for (int b = 0; b < 4; ++b)
+            storeBlock(h, jb + 4 * b, m, exp4pd(e[b]));
     }
 }
 
@@ -494,51 +462,84 @@ basisRowAvx2(const double *x, double *h, const double *centers,
 
 #if defined(PPM_SIMD_HAVE_AVX512)
 
-__attribute__((target("avx512f,avx512dq"))) double
-predictOneAvx512(const double *x, const double *centers,
-                 const double *inv_r_sq, const double *weights,
-                 std::size_t dims, std::size_t padded)
+/**
+ * Exponents -e of the 16-basis block at @p jb for each of @p Q
+ * queries, as two 8-lane blocks per query (e0: bases jb..jb+7, e1:
+ * jb+8..jb+15), so the exponent and Horner chains overlap. Each center
+ * and radius vector is loaded once for all Q queries; a query's
+ * operation sequence is the same for every Q, so its bits do not
+ * depend on the queries beside it. fnmadd accumulates -sum directly:
+ * round-to-nearest is sign-symmetric, so this is bit-identical to
+ * negating the fmadd-accumulated sum afterwards.
+ */
+template <int Q>
+__attribute__((target("avx512f,avx512dq"))) inline void
+exponentsAvx512(const double *const x[Q], const double *centers,
+                const double *inv_r_sq, std::size_t dims,
+                std::size_t padded, std::size_t jb, __m512d e0[Q],
+                __m512d e1[Q])
 {
-    // Two independent 8-lane blocks per iteration (padded is a
-    // multiple of 16) so the exponent and Horner chains overlap.
-    __m512d acc0 = _mm512_setzero_pd();
-    __m512d acc1 = _mm512_setzero_pd();
-    for (std::size_t jb = 0; jb < padded; jb += 16) {
-        __m512d e0 = _mm512_setzero_pd();
-        __m512d e1 = _mm512_setzero_pd();
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double *c_row = centers + k * padded + jb;
-            const double *ir_row = inv_r_sq + k * padded + jb;
-            const __m512d xk = _mm512_set1_pd(x[k]);
-            const __m512d d0 =
-                _mm512_sub_pd(xk, _mm512_load_pd(c_row + 0));
-            const __m512d d1 =
-                _mm512_sub_pd(xk, _mm512_load_pd(c_row + 8));
-            // fnmadd accumulates -sum directly; round-to-nearest is
-            // sign-symmetric, so this is bit-identical to negating
-            // the fmadd-accumulated sum afterwards.
-            e0 = _mm512_fnmadd_pd(_mm512_mul_pd(d0, d0),
-                                  _mm512_load_pd(ir_row + 0), e0);
-            e1 = _mm512_fnmadd_pd(_mm512_mul_pd(d1, d1),
-                                  _mm512_load_pd(ir_row + 8), e1);
+    for (int q = 0; q < Q; ++q) {
+        e0[q] = _mm512_setzero_pd();
+        e1[q] = _mm512_setzero_pd();
+    }
+    for (std::size_t k = 0; k < dims; ++k) {
+        const double *c_row = centers + k * padded + jb;
+        const double *ir_row = inv_r_sq + k * padded + jb;
+        const __m512d c0 = _mm512_load_pd(c_row + 0);
+        const __m512d c1 = _mm512_load_pd(c_row + 8);
+        const __m512d ir0 = _mm512_load_pd(ir_row + 0);
+        const __m512d ir1 = _mm512_load_pd(ir_row + 8);
+        for (int q = 0; q < Q; ++q) {
+            const __m512d xk = _mm512_set1_pd(x[q][k]);
+            const __m512d d0 = _mm512_sub_pd(xk, c0);
+            const __m512d d1 = _mm512_sub_pd(xk, c1);
+            e0[q] = _mm512_fnmadd_pd(_mm512_mul_pd(d0, d0), ir0, e0[q]);
+            e1[q] = _mm512_fnmadd_pd(_mm512_mul_pd(d1, d1), ir1, e1[q]);
         }
-        const __m512d h0 = exp8pd(e0);
-        const __m512d h1 = exp8pd(e1);
-        acc0 = _mm512_fmadd_pd(_mm512_load_pd(weights + jb + 0),
-                               h0, acc0);
-        acc1 = _mm512_fmadd_pd(_mm512_load_pd(weights + jb + 8),
-                               h1, acc1);
+    }
+}
+
+/**
+ * Predictions of @p Q queries into out[0..Q). Q = 4 keeps eight exp
+ * chains in flight and amortizes the center/radius loads over four
+ * queries; Q = 1 serves single points and batch tails with the same
+ * per-query operations, so a point's bits never depend on its batch.
+ */
+template <int Q>
+__attribute__((target("avx512f,avx512dq"))) void
+predictAvx512(const double *const x[Q], const double *centers,
+              const double *inv_r_sq, const double *weights,
+              std::size_t dims, std::size_t padded, double *out)
+{
+    __m512d acc0[Q], acc1[Q];
+    for (int q = 0; q < Q; ++q) {
+        acc0[q] = _mm512_setzero_pd();
+        acc1[q] = _mm512_setzero_pd();
+    }
+    for (std::size_t jb = 0; jb < padded; jb += 16) {
+        __m512d e0[Q], e1[Q];
+        exponentsAvx512<Q>(x, centers, inv_r_sq, dims, padded, jb, e0,
+                           e1);
+        const __m512d w0 = _mm512_load_pd(weights + jb + 0);
+        const __m512d w1 = _mm512_load_pd(weights + jb + 8);
+        for (int q = 0; q < Q; ++q) {
+            acc0[q] = _mm512_fmadd_pd(w0, exp8pd(e0[q]), acc0[q]);
+            acc1[q] = _mm512_fmadd_pd(w1, exp8pd(e1[q]), acc1[q]);
+        }
     }
     // Deterministic reduction: blocks, then 256-bit halves, then the
     // AVX2 lane pattern (a0+a2) + (a1+a3).
-    const __m512d acc512 = _mm512_add_pd(acc0, acc1);
-    const __m256d acc =
-        _mm256_add_pd(_mm512_castpd512_pd256(acc512),
-                      _mm512_extractf64x4_pd(acc512, 1));
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d s = _mm_add_pd(lo, hi);
-    return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+    for (int q = 0; q < Q; ++q) {
+        const __m512d s = _mm512_add_pd(acc0[q], acc1[q]);
+        const __m256d r =
+            _mm256_add_pd(_mm512_castpd512_pd256(s),
+                          _mm512_extractf64x4_pd(s, 1));
+        const __m128d p = _mm_add_pd(_mm256_castpd256_pd128(r),
+                                     _mm256_extractf128_pd(r, 1));
+        out[q] =
+            _mm_cvtsd_f64(_mm_add_sd(p, _mm_unpackhi_pd(p, p)));
+    }
 }
 
 /** Store one 8-lane block of responses, clipping at the real count. */
@@ -562,154 +563,12 @@ basisRowAvx512(const double *x, double *h, const double *centers,
                const double *inv_r_sq, std::size_t m,
                std::size_t dims, std::size_t padded)
 {
-    // Same two-block unroll as predictOneAvx512 (see there for why).
     for (std::size_t jb = 0; jb < padded; jb += 16) {
-        __m512d e0 = _mm512_setzero_pd();
-        __m512d e1 = _mm512_setzero_pd();
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double *c_row = centers + k * padded + jb;
-            const double *ir_row = inv_r_sq + k * padded + jb;
-            const __m512d xk = _mm512_set1_pd(x[k]);
-            const __m512d d0 =
-                _mm512_sub_pd(xk, _mm512_load_pd(c_row + 0));
-            const __m512d d1 =
-                _mm512_sub_pd(xk, _mm512_load_pd(c_row + 8));
-            // -sum via fnmadd: bit-identical, see predictOneAvx512.
-            e0 = _mm512_fnmadd_pd(_mm512_mul_pd(d0, d0),
-                                  _mm512_load_pd(ir_row + 0), e0);
-            e1 = _mm512_fnmadd_pd(_mm512_mul_pd(d1, d1),
-                                  _mm512_load_pd(ir_row + 8), e1);
-        }
+        __m512d e0, e1;
+        exponentsAvx512<1>(&x, centers, inv_r_sq, dims, padded, jb, &e0,
+                           &e1);
         storeBlock8(h, jb + 0, m, exp8pd(e0));
         storeBlock8(h, jb + 8, m, exp8pd(e1));
-    }
-}
-
-/**
- * Two queries per call for the batch path. Each query runs exactly
- * the operation sequence of predictOneAvx512 — interleaving the two
- * instruction streams changes scheduling, not values, so results stay
- * bit-identical to the single-query kernel. The point is latency: one
- * query only has two independent exp Horner chains in flight, which
- * leaves the FMA ports half idle; a pair keeps four chains going.
- */
-__attribute__((target("avx512f,avx512dq"))) void
-predictPairAvx512(const double *x0, const double *x1,
-                  const double *centers, const double *inv_r_sq,
-                  const double *weights, std::size_t dims,
-                  std::size_t padded, double *out)
-{
-    __m512d acc0a = _mm512_setzero_pd();
-    __m512d acc1a = _mm512_setzero_pd();
-    __m512d acc0b = _mm512_setzero_pd();
-    __m512d acc1b = _mm512_setzero_pd();
-    for (std::size_t jb = 0; jb < padded; jb += 16) {
-        __m512d e0a = _mm512_setzero_pd();
-        __m512d e1a = _mm512_setzero_pd();
-        __m512d e0b = _mm512_setzero_pd();
-        __m512d e1b = _mm512_setzero_pd();
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double *c_row = centers + k * padded + jb;
-            const double *ir_row = inv_r_sq + k * padded + jb;
-            const __m512d c0 = _mm512_load_pd(c_row + 0);
-            const __m512d c1 = _mm512_load_pd(c_row + 8);
-            const __m512d ir0 = _mm512_load_pd(ir_row + 0);
-            const __m512d ir1 = _mm512_load_pd(ir_row + 8);
-            const __m512d xka = _mm512_set1_pd(x0[k]);
-            const __m512d xkb = _mm512_set1_pd(x1[k]);
-            const __m512d d0a = _mm512_sub_pd(xka, c0);
-            const __m512d d1a = _mm512_sub_pd(xka, c1);
-            const __m512d d0b = _mm512_sub_pd(xkb, c0);
-            const __m512d d1b = _mm512_sub_pd(xkb, c1);
-            // -sum via fnmadd: bit-identical, see predictOneAvx512.
-            e0a = _mm512_fnmadd_pd(_mm512_mul_pd(d0a, d0a), ir0, e0a);
-            e1a = _mm512_fnmadd_pd(_mm512_mul_pd(d1a, d1a), ir1, e1a);
-            e0b = _mm512_fnmadd_pd(_mm512_mul_pd(d0b, d0b), ir0, e0b);
-            e1b = _mm512_fnmadd_pd(_mm512_mul_pd(d1b, d1b), ir1, e1b);
-        }
-        const __m512d h0a = exp8pd(e0a);
-        const __m512d h1a = exp8pd(e1a);
-        const __m512d h0b = exp8pd(e0b);
-        const __m512d h1b = exp8pd(e1b);
-        const __m512d w0 = _mm512_load_pd(weights + jb + 0);
-        const __m512d w1 = _mm512_load_pd(weights + jb + 8);
-        acc0a = _mm512_fmadd_pd(w0, h0a, acc0a);
-        acc1a = _mm512_fmadd_pd(w1, h1a, acc1a);
-        acc0b = _mm512_fmadd_pd(w0, h0b, acc0b);
-        acc1b = _mm512_fmadd_pd(w1, h1b, acc1b);
-    }
-    const __m512d sa = _mm512_add_pd(acc0a, acc1a);
-    const __m512d sb = _mm512_add_pd(acc0b, acc1b);
-    const __m256d ra =
-        _mm256_add_pd(_mm512_castpd512_pd256(sa),
-                      _mm512_extractf64x4_pd(sa, 1));
-    const __m256d rb =
-        _mm256_add_pd(_mm512_castpd512_pd256(sb),
-                      _mm512_extractf64x4_pd(sb, 1));
-    const __m128d qa = _mm_add_pd(_mm256_castpd256_pd128(ra),
-                                  _mm256_extractf128_pd(ra, 1));
-    const __m128d qb = _mm_add_pd(_mm256_castpd256_pd128(rb),
-                                  _mm256_extractf128_pd(rb, 1));
-    out[0] = _mm_cvtsd_f64(_mm_add_sd(qa, _mm_unpackhi_pd(qa, qa)));
-    out[1] = _mm_cvtsd_f64(_mm_add_sd(qb, _mm_unpackhi_pd(qb, qb)));
-}
-
-/**
- * Four queries per call: same per-query operation sequence again
- * (bit-identical to predictOneAvx512), eight exp chains in flight,
- * and the center/radius loads amortized over four queries.
- */
-__attribute__((target("avx512f,avx512dq"))) void
-predictQuadAvx512(const double *const x[4], const double *centers,
-                  const double *inv_r_sq, const double *weights,
-                  std::size_t dims, std::size_t padded, double *out)
-{
-    __m512d acc0[4], acc1[4];
-    for (int q = 0; q < 4; ++q) {
-        acc0[q] = _mm512_setzero_pd();
-        acc1[q] = _mm512_setzero_pd();
-    }
-    for (std::size_t jb = 0; jb < padded; jb += 16) {
-        __m512d e0[4], e1[4];
-        for (int q = 0; q < 4; ++q) {
-            e0[q] = _mm512_setzero_pd();
-            e1[q] = _mm512_setzero_pd();
-        }
-        for (std::size_t k = 0; k < dims; ++k) {
-            const double *c_row = centers + k * padded + jb;
-            const double *ir_row = inv_r_sq + k * padded + jb;
-            const __m512d c0 = _mm512_load_pd(c_row + 0);
-            const __m512d c1 = _mm512_load_pd(c_row + 8);
-            const __m512d ir0 = _mm512_load_pd(ir_row + 0);
-            const __m512d ir1 = _mm512_load_pd(ir_row + 8);
-            for (int q = 0; q < 4; ++q) {
-                const __m512d xk = _mm512_set1_pd(x[q][k]);
-                const __m512d d0 = _mm512_sub_pd(xk, c0);
-                const __m512d d1 = _mm512_sub_pd(xk, c1);
-                // -sum via fnmadd: bit-identical, see
-                // predictOneAvx512.
-                e0[q] = _mm512_fnmadd_pd(_mm512_mul_pd(d0, d0), ir0,
-                                         e0[q]);
-                e1[q] = _mm512_fnmadd_pd(_mm512_mul_pd(d1, d1), ir1,
-                                         e1[q]);
-            }
-        }
-        const __m512d w0 = _mm512_load_pd(weights + jb + 0);
-        const __m512d w1 = _mm512_load_pd(weights + jb + 8);
-        for (int q = 0; q < 4; ++q) {
-            acc0[q] = _mm512_fmadd_pd(w0, exp8pd(e0[q]), acc0[q]);
-            acc1[q] = _mm512_fmadd_pd(w1, exp8pd(e1[q]), acc1[q]);
-        }
-    }
-    for (int q = 0; q < 4; ++q) {
-        const __m512d s = _mm512_add_pd(acc0[q], acc1[q]);
-        const __m256d r =
-            _mm256_add_pd(_mm512_castpd512_pd256(s),
-                          _mm512_extractf64x4_pd(s, 1));
-        const __m128d p = _mm_add_pd(_mm256_castpd256_pd128(r),
-                                     _mm256_extractf128_pd(r, 1));
-        out[q] =
-            _mm_cvtsd_f64(_mm_add_sd(p, _mm_unpackhi_pd(p, p)));
     }
 }
 
@@ -781,9 +640,12 @@ BatchPlan::predictOneImpl(const double *x) const
                               padded_);
 #endif
 #if defined(PPM_SIMD_HAVE_AVX512)
-      case SimdKind::Avx512:
-        return predictOneAvx512(x, centers_, inv_r_sq_, weights_,
-                                dims_, padded_);
+      case SimdKind::Avx512: {
+        double y;
+        predictAvx512<1>(&x, centers_, inv_r_sq_, weights_, dims_,
+                         padded_, &y);
+        return y;
+      }
 #endif
 #if defined(PPM_SIMD_HAVE_NEON)
       case SimdKind::Neon:
@@ -855,19 +717,15 @@ BatchPlan::predictEach(std::size_t n, Row row) const
     std::vector<double> out(n);
     std::size_t i = 0;
 #if defined(PPM_SIMD_HAVE_AVX512)
-    // Pair queries on AVX-512 to keep four exp chains in flight
-    // (bit-identical to predictOne; see predictPairAvx512).
-    if (kind_ == SimdKind::Avx512) {
+    // Four queries per call on AVX-512; the 1-3-point tail runs one
+    // at a time (bit-identical either way; see predictAvx512).
+    if (kind_ == SimdKind::Avx512)
         for (; i + 4 <= n; i += 4) {
             const double *quad[4] = {row(i), row(i + 1), row(i + 2),
                                      row(i + 3)};
-            predictQuadAvx512(quad, centers_, inv_r_sq_, weights_,
-                              dims_, padded_, &out[i]);
+            predictAvx512<4>(quad, centers_, inv_r_sq_, weights_, dims_,
+                             padded_, &out[i]);
         }
-        for (; i + 2 <= n; i += 2)
-            predictPairAvx512(row(i), row(i + 1), centers_, inv_r_sq_,
-                              weights_, dims_, padded_, &out[i]);
-    }
 #endif
     for (; i < n; ++i)
         out[i] = predictOneImpl(row(i));

@@ -81,8 +81,8 @@ inline constexpr std::uint16_t kSnapshotFormat = 2;
 /** Bytes before the payload: magic + format + flags + payload_len. */
 inline constexpr std::size_t kSnapshotHeaderSize = 12;
 
-/** Hard cap on snapshot dimensionality. */
-inline constexpr std::uint32_t kMaxSnapshotDims = 256;
+/** Hard cap on snapshot dimensionality: the wire protocol's. */
+inline constexpr std::uint32_t kMaxSnapshotDims = kMaxDims;
 
 /** Hard cap on RBF bases in a snapshot. */
 inline constexpr std::uint32_t kMaxSnapshotBases = 65536;

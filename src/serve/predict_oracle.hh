@@ -22,8 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "core/oracle.hh"
@@ -58,18 +56,10 @@ class PredictOracle final : public core::CpiOracle
     std::uint64_t evaluations() const override;
 
     /** Points answered by PREDICT servers so far. */
-    std::uint64_t
-    remotePoints() const
-    {
-        return remote_points_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t remotePoints() const { return client_.remotePoints(); }
 
     /** Points predicted by the local snapshot fallback. */
-    std::uint64_t
-    fallbackPoints() const
-    {
-        return fallback_points_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t fallbackPoints() const { return client_.localPoints(); }
 
     /**
      * Greatest model version any server echoed so far (0 = none
@@ -86,16 +76,10 @@ class PredictOracle final : public core::CpiOracle
     const RemoteOptions &options() const { return client_.options(); }
 
   private:
-    std::optional<PredictResponse> requestChunk(
-        std::size_t socket_index,
-        std::span<const dspace::DesignPoint> points);
-
     ModelSnapshot snapshot_;
     ModelKind model_;
     ShardedClient client_;
 
-    std::atomic<std::uint64_t> remote_points_{0};
-    std::atomic<std::uint64_t> fallback_points_{0};
     std::atomic<std::uint64_t> server_version_{0};
 };
 

@@ -168,7 +168,7 @@ parseEvalRequest(const std::vector<std::uint8_t> &payload)
     const std::uint32_t dims = r.u32();
     if (n > kMaxPoints)
         throw ProtocolError("too many points in request");
-    if (dims > 256)
+    if (dims > kMaxDims)
         throw ProtocolError("point dimensionality too large");
     // With dims == 0 the size check below holds for any n, and n
     // empty points would be built from a 0-byte point block.
@@ -410,7 +410,7 @@ parsePredictBatch(const std::vector<std::uint8_t> &payload)
     const std::uint32_t dims = r.u32();
     if (n > kMaxPoints)
         throw ProtocolError("too many points in request");
-    if (dims > 256)
+    if (dims > kMaxDims)
         throw ProtocolError("point dimensionality too large");
     // With dims == 0 the size check below holds for any n, and n
     // empty points would be built from a 0-byte point block.
@@ -488,7 +488,7 @@ encodeModelInfoResponse(const ModelInfo &info)
     w.u64(info.warmup);
     w.u32(info.num_bases);
     w.u32(info.num_linear_terms);
-    if (info.param_names.size() > 256)
+    if (info.param_names.size() > kMaxDims)
         throw ProtocolError("too many parameter names");
     w.u32(static_cast<std::uint32_t>(info.param_names.size()));
     for (const std::string &name : info.param_names)
@@ -517,7 +517,7 @@ parseModelInfoResponse(const std::vector<std::uint8_t> &payload)
     info.num_bases = r.u32();
     info.num_linear_terms = r.u32();
     const std::uint32_t n_params = r.u32();
-    if (n_params > 256)
+    if (n_params > kMaxDims)
         throw ProtocolError("too many parameter names");
     info.param_names.reserve(n_params);
     for (std::uint32_t i = 0; i < n_params; ++i)

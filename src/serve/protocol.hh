@@ -54,12 +54,7 @@ class ProtocolError : public std::runtime_error
 /** First four bytes of every frame. */
 inline constexpr std::uint32_t kMagic = 0x50504D53u; // "PPMS"
 
-/**
- * Protocol version of every frame this build emits and accepts.
- * v2 added the Stats request/response pair; v3 added the PREDICT and
- * MODEL frame families of the prediction-serving plane; v4 added the
- * trace-context header block and the TRACE frame pair.
- */
+/** Protocol version of every frame this build emits and accepts. */
 inline constexpr std::uint16_t kVersion = 4;
 
 /** Bytes before the payload: magic + version + type + payload_len. */
@@ -79,6 +74,13 @@ inline constexpr std::uint32_t kMaxPoints = 1u << 20;
 
 /** Hard cap on encoded strings (benchmark names, error messages). */
 inline constexpr std::uint32_t kMaxString = 4096;
+
+/**
+ * Hard cap on design-space dimensions: coordinates per request point
+ * and parameter names per model (and snapshot dimensions; see
+ * model_snapshot.hh).
+ */
+inline constexpr std::uint32_t kMaxDims = 256;
 
 /**
  * Schema version of the Stats payload, carried inside the payload so
@@ -113,14 +115,12 @@ enum class MsgType : std::uint16_t
     Pong = 5,          //!< reply to Ping with the same nonce
     StatsRequest = 6,  //!< poll the server's metric registry
     StatsResponse = 7, //!< snapshot of the server's metric registry
-    // v3: the prediction-serving plane.
     PredictRequest = 8,    //!< predict a batch from the loaded model
     PredictResponse = 9,   //!< predictions + model version echo
     ModelInfoRequest = 10, //!< query loaded-model metadata/version
     ModelInfoResponse = 11, //!< loaded-model metadata/version
     ModelPush = 12,        //!< push a snapshot image for hot-swap
     ModelPushAck = 13,     //!< result of a ModelPush
-    // v4: distributed tracing.
     TraceRequest = 14,  //!< pull the server's sampled-span buffer
     TraceResponse = 15, //!< span buffer, stamped with pid/endpoint
 };
@@ -134,7 +134,7 @@ struct EvalRequest
     std::uint64_t warmup = 0;       //!< SimOptions::warmup_instructions
     /**
      * Base seed of the requesting sweep. The simulator is
-     * deterministic so v1 servers do not consume it; it is carried so
+     * deterministic, so servers do not consume it; it is carried so
      * stochastic backends can derive per-item streams with
      * Rng::stream(seed, index) without a protocol bump.
      */

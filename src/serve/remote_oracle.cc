@@ -27,36 +27,6 @@ RemoteOracle::cpi(const dspace::DesignPoint &point)
     return evaluateAll({point}).front();
 }
 
-std::optional<EvalResponse>
-RemoteOracle::requestChunk(
-    std::size_t socket_index,
-    const std::vector<dspace::DesignPoint> &points)
-{
-    EvalRequest req;
-    req.benchmark = benchmark_;
-    req.metric = metric_;
-    req.trace_length = trace_.size();
-    req.warmup = sim_options_.warmup_instructions;
-    req.seed = client_.options().seed;
-    req.points = points;
-    const std::vector<std::uint8_t> frame = encodeEvalRequest(req);
-
-    // Parse inside the retry loop: a well-framed reply carrying the
-    // wrong batch size is as suspect as a corrupt one.
-    std::optional<EvalResponse> resp;
-    std::optional<Frame> reply = client_.exchange(
-        socket_index, frame, MsgType::EvalResponse,
-        [&](const Frame &f) {
-            EvalResponse r = parseEvalResponse(f.payload);
-            if (r.values.size() != points.size())
-                throw ProtocolError("response batch size mismatch");
-            resp = std::move(r);
-        });
-    if (!reply)
-        return std::nullopt;
-    return resp;
-}
-
 std::vector<double>
 RemoteOracle::evaluateAll(
     const std::vector<dspace::DesignPoint> &points)
@@ -70,44 +40,40 @@ RemoteOracle::evaluateAll(
     // (and thus every shard-side span) inherits this trace id.
     obs::TraceRoot trace_root("remote.evaluate_all");
 
-    const std::size_t chunk = client_.options().chunk_points;
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    const std::size_t num_sockets = client_.numEndpoints();
-
-    // Chunk c covers points [c*chunk, min(n, (c+1)*chunk)) and is
-    // pinned to socket c % num_sockets.
-    auto runChunk = [&](std::size_t c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(n, begin + chunk);
-        std::vector<dspace::DesignPoint> part(
-            points.begin() + static_cast<std::ptrdiff_t>(begin),
-            points.begin() + static_cast<std::ptrdiff_t>(end));
-        std::optional<EvalResponse> resp;
-        if (num_sockets > 0)
-            resp = requestChunk(c % num_sockets, part);
-        if (resp) {
-            std::copy(resp->values.begin(), resp->values.end(),
+    client_.evaluate(
+        n, MsgType::EvalResponse,
+        [&](std::size_t begin, std::size_t end) {
+            EvalRequest req;
+            req.benchmark = benchmark_;
+            req.metric = metric_;
+            req.trace_length = trace_.size();
+            req.warmup = sim_options_.warmup_instructions;
+            req.seed = client_.options().seed;
+            req.points.assign(
+                points.begin() + static_cast<std::ptrdiff_t>(begin),
+                points.begin() + static_cast<std::ptrdiff_t>(end));
+            return encodeEvalRequest(req);
+        },
+        [&](const Frame &f, std::size_t begin, std::size_t end) {
+            const EvalResponse r = parseEvalResponse(f.payload);
+            if (r.values.size() != end - begin)
+                throw ProtocolError("response batch size mismatch");
+            std::copy(r.values.begin(), r.values.end(),
                       out.begin() + static_cast<std::ptrdiff_t>(begin));
-            remote_points_.fetch_add(end - begin,
-                                     std::memory_order_relaxed);
-            remote_chunks_.fetch_add(1, std::memory_order_relaxed);
-            remote_fresh_.fetch_add(resp->fresh_evaluations,
+            remote_fresh_.fetch_add(r.fresh_evaluations,
                                     std::memory_order_relaxed);
-            return;
-        }
-        // Transparent fallback: simulate in-process. cpi() is
-        // thread-safe, so concurrent dispatch threads fan the
-        // fallback work out naturally.
-        OBS_SPAN("remote.fallback_chunk");
-        for (std::size_t i = begin; i < end; ++i)
-            out[i] = fallback_.cpi(points[i]);
-        fallback_points_.fetch_add(end - begin,
-                                   std::memory_order_relaxed);
-        OBS_STATIC_COUNTER(fallback_points, "remote.fallback_points");
-        OBS_ADD(fallback_points, end - begin);
-    };
-
-    client_.forEachChunk(num_chunks, runChunk);
+        },
+        [&](std::size_t begin, std::size_t end) {
+            // Transparent fallback: simulate in-process. cpi() is
+            // thread-safe, so concurrent dispatch threads fan the
+            // fallback work out naturally.
+            OBS_SPAN("remote.fallback_chunk");
+            for (std::size_t i = begin; i < end; ++i)
+                out[i] = fallback_.cpi(points[i]);
+            OBS_STATIC_COUNTER(fallback_points,
+                               "remote.fallback_points");
+            OBS_ADD(fallback_points, end - begin);
+        });
     return out;
 }
 

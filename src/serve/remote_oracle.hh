@@ -18,8 +18,9 @@
  * values.
  *
  * The transport mechanics — connect/retry/backoff schedule, the
- * per-socket dead latch, endpoint health counters, and the dedicated
- * dispatch-thread fan-out — live in ShardedClient, shared with the
+ * per-socket dead latch, endpoint health counters, the dedicated
+ * dispatch-thread fan-out, and the chunk loop with its remote and
+ * fallback counts — live in ShardedClient, shared with the
  * prediction-serving client (PredictOracle).
  */
 
@@ -28,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,25 +72,17 @@ class RemoteOracle final : public core::CpiOracle
     std::uint64_t evaluations() const override;
 
     /** Points answered by servers so far. */
-    std::uint64_t
-    remotePoints() const
-    {
-        return remote_points_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t remotePoints() const { return client_.remotePoints(); }
 
     /** Request chunks successfully served remotely. */
     std::uint64_t
     remoteChunksServed() const
     {
-        return remote_chunks_.load(std::memory_order_relaxed);
+        return client_.remoteChunks();
     }
 
     /** Points evaluated by the in-process fallback oracle. */
-    std::uint64_t
-    fallbackPoints() const
-    {
-        return fallback_points_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t fallbackPoints() const { return client_.localPoints(); }
 
     /**
      * The in-process fallback oracle (e.g. to attach a ResultArchive
@@ -101,15 +93,6 @@ class RemoteOracle final : public core::CpiOracle
     const RemoteOptions &options() const { return client_.options(); }
 
   private:
-    /**
-     * One chunk against its socket, with retry/backoff. nullopt =
-     * all attempts failed (socket marked dead) or server reported an
-     * error; the caller falls back locally.
-     */
-    std::optional<EvalResponse> requestChunk(
-        std::size_t socket_index,
-        const std::vector<dspace::DesignPoint> &points);
-
     std::string benchmark_;
     const trace::Trace &trace_;
     sim::SimOptions sim_options_;
@@ -118,9 +101,6 @@ class RemoteOracle final : public core::CpiOracle
     core::SimulatorOracle fallback_;
 
     std::atomic<std::uint64_t> remote_fresh_{0};
-    std::atomic<std::uint64_t> remote_points_{0};
-    std::atomic<std::uint64_t> remote_chunks_{0};
-    std::atomic<std::uint64_t> fallback_points_{0};
 };
 
 } // namespace ppm::serve

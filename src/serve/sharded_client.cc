@@ -254,4 +254,30 @@ ShardedClient::forEachChunk(std::size_t num_chunks,
         std::rethrow_exception(batch.first_error);
 }
 
+void
+ShardedClient::evaluate(
+    std::size_t points, MsgType expect,
+    const std::function<std::vector<std::uint8_t>(std::size_t,
+                                                  std::size_t)> &request,
+    const std::function<void(const Frame &, std::size_t, std::size_t)>
+        &reply,
+    const std::function<void(std::size_t, std::size_t)> &local)
+{
+    const std::size_t chunk = options_.chunk_points;
+    forEachChunk((points + chunk - 1) / chunk, [&](std::size_t c) {
+        const std::size_t begin = c * chunk;
+        const std::size_t end = std::min(points, begin + chunk);
+        if (!endpoints_.empty() &&
+            exchange(c % endpoints_.size(), request(begin, end), expect,
+                     [&](const Frame &f) { reply(f, begin, end); })) {
+            remote_points_.fetch_add(end - begin,
+                                     std::memory_order_relaxed);
+            remote_chunks_.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        local(begin, end);
+        local_points_.fetch_add(end - begin, std::memory_order_relaxed);
+    });
+}
+
 } // namespace ppm::serve

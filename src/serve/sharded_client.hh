@@ -5,9 +5,10 @@
  * PredictOracle for model predictions). One place owns endpoint
  * parsing, a pool of idle connections per endpoint, per-endpoint
  * health counters, the bounded exponential-backoff retry schedule,
- * the per-socket dead latch, and the dispatch threads that run a
- * batch's chunks concurrently — so fault-injection chaos coverage and
- * the remote.* observability counters apply to every frame family
+ * the per-socket dead latch, the dispatch threads that run a batch's
+ * chunks concurrently, and the chunk loop that picks remote or local
+ * evaluation per chunk — so fault-injection chaos coverage and the
+ * remote.* observability counters apply to every frame family
  * without duplication.
  *
  * Dispatch deliberately uses the client's own threads, NOT the
@@ -148,6 +149,46 @@ class ShardedClient
     void forEachChunk(std::size_t num_chunks,
                       const std::function<void(std::size_t)> &run);
 
+    /**
+     * Evaluate @p points points in chunks of options().chunk_points:
+     * chunk c covers [begin, end) = [c * chunk_points,
+     * min(points, (c + 1) * chunk_points)), is pinned to endpoint
+     * c % numEndpoints(), and runs through forEachChunk. Its frame
+     * request(begin, end) goes through exchange(); reply(frame, begin,
+     * end) parses and stores the reply inside the retry loop, and a
+     * ProtocolError it throws before storing anything (a corrupt or
+     * mis-sized reply) fails that attempt. A chunk that no endpoint
+     * serves runs local(begin, end) instead.
+     */
+    void evaluate(
+        std::size_t points, MsgType expect,
+        const std::function<std::vector<std::uint8_t>(
+            std::size_t, std::size_t)> &request,
+        const std::function<void(const Frame &, std::size_t,
+                                 std::size_t)> &reply,
+        const std::function<void(std::size_t, std::size_t)> &local);
+
+    /** Points evaluate() had served by endpoints so far. */
+    std::uint64_t
+    remotePoints() const
+    {
+        return remote_points_.load(std::memory_order_relaxed);
+    }
+
+    /** Chunks evaluate() had served by endpoints so far. */
+    std::uint64_t
+    remoteChunks() const
+    {
+        return remote_chunks_.load(std::memory_order_relaxed);
+    }
+
+    /** Points evaluate() ran locally so far. */
+    std::uint64_t
+    localPoints() const
+    {
+        return local_points_.load(std::memory_order_relaxed);
+    }
+
   private:
     /** One forEachChunk call's shared state, on the caller's stack. */
     struct Batch;
@@ -196,6 +237,10 @@ class ShardedClient
     std::deque<Batch *> batches_;
     bool stopping_ = false;
     std::vector<std::thread> threads_;
+
+    std::atomic<std::uint64_t> remote_points_{0};
+    std::atomic<std::uint64_t> remote_chunks_{0};
+    std::atomic<std::uint64_t> local_points_{0};
 };
 
 } // namespace ppm::serve

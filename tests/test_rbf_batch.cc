@@ -2,17 +2,19 @@
  * @file
  * Tests for the batched SoA RBF evaluation plan (rbf_batch.hh): the
  * PPM_SIMD dispatch decision, bit-compatibility of the scalar
- * reference path with the legacy AoS loop, batch-position
- * independence, and the scalar-vs-SIMD ULP contract over randomized
- * networks and batches (including padded-lane tails and degenerate
- * 1-center / 1-dimension shapes).
+ * reference path with the legacy AoS loop, bit-exact batch-position
+ * independence on every tier, and the scalar-vs-SIMD ULP contract
+ * over randomized networks and batches (including padded-lane tails
+ * and degenerate 1-center / 1-dimension shapes).
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "math/rng.hh"
@@ -97,6 +99,26 @@ TEST(SimdDispatch, KindNames)
 
 // --- randomized network construction ----------------------------------
 
+/** The bits of @p v: bit-identity checks compare these, not values. */
+std::uint64_t
+bitsOf(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Every kernel this binary and CPU run: scalar, then the vector ones. */
+std::vector<SimdKind>
+tiersHere()
+{
+    std::vector<SimdKind> tiers = {SimdKind::Scalar};
+    for (const char *name : {"avx2", "neon", "avx512"}) {
+        const SimdKind kind = resolveSimd(name, detectSimd());
+        if (kind != SimdKind::Scalar)
+            tiers.push_back(kind);
+    }
+    return tiers;
+}
+
 struct RandomNet
 {
     std::vector<GaussianBasis> bases;
@@ -154,8 +176,8 @@ TEST(BatchPlan, ScalarPathBitCompatibleWithLegacyLoop)
         const BatchPlan plan(net.bases, net.weights,
                              SimdKind::Scalar);
         for (const auto &x : randomBatch(rng, 8, dims))
-            EXPECT_DOUBLE_EQ(plan.predictOne(x),
-                             legacyPredict(net, x));
+            EXPECT_EQ(bitsOf(plan.predictOne(x)),
+                      bitsOf(legacyPredict(net, x)));
     }
 }
 
@@ -169,7 +191,7 @@ TEST(BatchPlan, ScalarBasisRowBitCompatibleWithEvaluate)
     for (const auto &x : randomBatch(rng, 16, 5)) {
         plan.basisRow(x, row.data());
         for (std::size_t j = 0; j < net.bases.size(); ++j)
-            EXPECT_DOUBLE_EQ(row[j], net.bases[j].evaluate(x));
+            EXPECT_EQ(bitsOf(row[j]), bitsOf(net.bases[j].evaluate(x)));
     }
 }
 
@@ -223,25 +245,45 @@ TEST(BatchPlan, DimensionMismatchThrows)
 
 TEST(BatchPlan, PredictionIndependentOfBatchSize)
 {
+    // Bit for bit, on every tier this CPU runs. Sizes 0-9 put every
+    // 1-3-point tail after zero, one and two 4-query bodies; 255 and
+    // 256 are a served chunk with and without a tail. The 1-basis,
+    // 1-dimension net is the smallest plan there is.
+    const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256};
+    const std::pair<std::size_t, std::size_t> shapes[] = {{17, 6},
+                                                          {1, 1}};
     math::Rng rng(48);
-    const RandomNet net = randomNet(rng, 17, 6);
-    const BatchPlan plan(net.bases, net.weights); // active kernel
-    const auto xs = randomBatch(rng, 256, 6);
-    const std::vector<double> big = plan.predict(xs);
-    ASSERT_EQ(big.size(), xs.size());
-    for (std::size_t i = 0; i < xs.size(); ++i)
-        EXPECT_DOUBLE_EQ(big[i], plan.predictOne(xs[i]));
-    // Prefix batches agree element-wise with the full batch. Odd
-    // sizes exercise the scalar tail after any query-pairing fast
-    // path; 1 and 2 cover the pure-single and pure-pair cases.
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
-                                std::size_t{7}, std::size_t{16},
-                                std::size_t{255}}) {
-        const std::vector<dspace::UnitPoint> prefix(xs.begin(),
-                                                    xs.begin() + n);
-        const std::vector<double> small = plan.predict(prefix);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_DOUBLE_EQ(small[i], big[i]);
+    for (const SimdKind kind : tiersHere()) {
+        for (const auto &[m, dims] : shapes) {
+            const RandomNet net = randomNet(rng, m, dims);
+            const BatchPlan plan(net.bases, net.weights, kind);
+            const auto xs = randomBatch(rng, 256, dims);
+            const std::vector<double> big = plan.predict(xs);
+            ASSERT_EQ(big.size(), xs.size());
+            for (std::size_t i = 0; i < xs.size(); ++i)
+                EXPECT_EQ(bitsOf(big[i]), bitsOf(plan.predictOne(xs[i])))
+                    << simdKindName(kind) << " m=" << m << " i=" << i;
+            for (const std::size_t n : sizes) {
+                const std::vector<dspace::UnitPoint> prefix(
+                    xs.begin(), xs.begin() + n);
+                std::vector<double> flat;
+                for (const auto &x : prefix)
+                    flat.insert(flat.end(), x.begin(), x.end());
+                const std::vector<double> small = plan.predict(prefix);
+                const std::vector<double> rows =
+                    plan.predictRows(flat, dims);
+                ASSERT_EQ(small.size(), n);
+                ASSERT_EQ(rows.size(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(bitsOf(small[i]), bitsOf(big[i]))
+                        << simdKindName(kind) << " m=" << m
+                        << " n=" << n << " i=" << i;
+                    EXPECT_EQ(bitsOf(rows[i]), bitsOf(big[i]))
+                        << simdKindName(kind) << " m=" << m
+                        << " n=" << n << " i=" << i;
+                }
+            }
+        }
     }
 }
 
@@ -399,14 +441,13 @@ TEST(BatchPlanProperty, TinyRadiiUnderflowToExactZeroBothPaths)
 
 TEST(BatchPlanProperty, ExactlyOneAtCenterBothPaths)
 {
-    // exp(0) must be exactly 1.0 in the vector kernel too (tests
-    // elsewhere rely on EXPECT_DOUBLE_EQ at the center).
+    // exp(0) must be exactly 1.0 in the vector kernel too.
     math::Rng rng(31);
     const RandomNet net = randomNet(rng, 9, 4);
     const BatchPlan simd(net.bases, {}, activeSimd());
     std::vector<double> row(9);
     simd.basisRow(net.bases[4].center(), row.data());
-    EXPECT_DOUBLE_EQ(row[4], 1.0);
+    EXPECT_EQ(row[4], 1.0);
 }
 
 // --- network integration ----------------------------------------------
@@ -419,7 +460,8 @@ TEST(RbfNetworkPlan, NetworkRoutesThroughCompiledPlan)
     ASSERT_NE(net.plan(), nullptr);
     EXPECT_EQ(net.plan()->kind(), activeSimd());
     for (const auto &x : randomBatch(rng, 10, 3))
-        EXPECT_DOUBLE_EQ(net.predict(x), net.plan()->predictOne(x));
+        EXPECT_EQ(bitsOf(net.predict(x)),
+                  bitsOf(net.plan()->predictOne(x)));
 }
 
 TEST(RbfNetworkPlan, CopiesShareThePlan)
@@ -442,7 +484,7 @@ TEST(RbfNetworkPlan, DesignMatrixMatchesPlanRows)
     for (std::size_t i = 0; i < xs.size(); ++i) {
         plan.basisRow(xs[i], row.data());
         for (std::size_t j = 0; j < 7u; ++j)
-            EXPECT_DOUBLE_EQ(h(i, j), row[j]);
+            EXPECT_EQ(bitsOf(h(i, j)), bitsOf(row[j]));
     }
 }
 
