@@ -108,7 +108,6 @@ class ShardedClient
     ShardedClient &operator=(const ShardedClient &) = delete;
 
     const RemoteOptions &options() const { return options_; }
-    std::size_t numEndpoints() const { return endpoints_.size(); }
 
     /**
      * One request/reply exchange against an endpoint, with the full
@@ -153,12 +152,12 @@ class ShardedClient
      * Evaluate @p points points in chunks of options().chunk_points:
      * chunk c covers [begin, end) = [c * chunk_points,
      * min(points, (c + 1) * chunk_points)), is pinned to endpoint
-     * c % numEndpoints(), and runs through forEachChunk. Its frame
-     * request(begin, end) goes through exchange(); reply(frame, begin,
-     * end) parses and stores the reply inside the retry loop, and a
-     * ProtocolError it throws before storing anything (a corrupt or
-     * mis-sized reply) fails that attempt. A chunk that no endpoint
-     * serves runs local(begin, end) instead.
+     * c % options().sockets.size(), and runs through forEachChunk.
+     * Its frame request(begin, end) goes through exchange();
+     * reply(frame, begin, end) parses and stores the reply inside the
+     * retry loop, and a ProtocolError it throws before storing
+     * anything (a corrupt or mis-sized reply) fails that attempt. A
+     * chunk that no endpoint serves runs local(begin, end) instead.
      */
     void evaluate(
         std::size_t points, MsgType expect,
