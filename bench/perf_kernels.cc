@@ -18,6 +18,7 @@
 #include "cache/result_cache.hh"
 #include "core/evaluator.hh"
 #include "core/oracle.hh"
+#include "linreg/model_selection.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_span.hh"
 #include "rbf/incremental.hh"
@@ -206,6 +207,24 @@ BM_RbfTrainingDefaultGrid(benchmark::State &state)
 }
 BENCHMARK(BM_RbfTrainingDefaultGrid)->Unit(benchmark::kMillisecond)
     ->Arg(200);
+
+/**
+ * The linear baseline's AIC backward elimination (Sec 4.2) on the same
+ * 9-dim data: 46 terms, one least-squares fit per candidate drop per
+ * round, each round's candidates on the global pool. ppm_publish runs
+ * it at p = 200 and an online refit at the archive size.
+ */
+void
+BM_LinearSelection(benchmark::State &state)
+{
+    const auto d = fitData(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        auto selected = linreg::fitSelectedLinearModel(d.xs, d.ys);
+        benchmark::DoNotOptimize(selected.eliminated);
+    }
+}
+BENCHMARK(BM_LinearSelection)->Unit(benchmark::kMillisecond)
+    ->Arg(200)->Arg(1024)->Arg(4096)->UseRealTime();
 
 /**
  * The training kernels per tier (arg: rbf::SimdKind, 0 scalar, 1 AVX2,
@@ -567,6 +586,26 @@ BM_OnlineFullRetrain(benchmark::State &state)
 BENCHMARK(BM_OnlineFullRetrain)->Unit(benchmark::kMillisecond)
     ->ArgNames({"archive", "grid"})
     ->Args({1024, 1024})->Args({4096, 4096})->Args({1024, 4096});
+
+/**
+ * The k-fold CV baseline a refit computes after trainRbfModel, at the
+ * refit's chosen (p_min, alpha). BM_OnlineFullRetrain (archive = grid
+ * = n), BM_LinearSelection/n and this row add up to a refit at n.
+ */
+void
+BM_OnlineRefitCv(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const OnlineArchive &a = onlineArchive(n);
+    const auto opts = train::onlineRefitOptions(n);
+    for (auto _ : state) {
+        const double cv = rbf::crossValidatedError(
+            a.data.xs, a.data.ys, opts, a.model.p_min, a.model.alpha);
+        benchmark::DoNotOptimize(cv);
+    }
+}
+BENCHMARK(BM_OnlineRefitCv)->Unit(benchmark::kMillisecond)
+    ->ArgName("archive")->Arg(1024)->Arg(4096)->UseRealTime();
 
 void
 BM_RbfPrediction(benchmark::State &state)

@@ -1,23 +1,30 @@
 #include "linreg/model_selection.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
 
 #include "math/linalg.hh"
+#include "util/thread_pool.hh"
 
 namespace ppm::linreg {
 
 namespace {
 
-/** SSE of the least-squares fit of @p terms to the data. */
-double
-fitSse(const std::vector<Term> &terms,
-       const std::vector<dspace::UnitPoint> &xs,
-       const std::vector<double> &ys)
+/** @p a without column @p drop. */
+math::Matrix
+withoutColumn(const math::Matrix &a, std::size_t drop)
 {
-    const math::Matrix a = termDesignMatrix(terms, xs);
-    return math::leastSquares(a, ys).residual_sum_squares;
+    assert(drop < a.cols());
+    math::Matrix out(a.rows(), a.cols() - 1);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        const double *src = a.rowPtr(r);
+        double *dst = out.rowPtr(r);
+        std::copy(src, src + drop, dst);
+        std::copy(src + drop + 1, src + a.cols(), dst + drop);
+    }
+    return out;
 }
 
 } // namespace
@@ -53,34 +60,45 @@ fitSelectedLinearModel(const std::vector<dspace::UnitPoint> &xs,
     if (terms.size() > max_terms)
         terms.resize(max_terms);
 
-    double best_aic = linearAic(p, terms.size(), fitSse(terms, xs, ys));
+    // The design matrix of the current terms. Term::value is
+    // deterministic, so a candidate's matrix is this one without the
+    // candidate's column.
+    math::Matrix a = termDesignMatrix(terms, xs);
+    double best_aic = linearAic(
+        p, terms.size(), math::leastSquares(a, ys).residual_sum_squares);
     std::size_t eliminated = 0;
 
     // Backward elimination: drop the term whose removal lowers AIC the
     // most; stop when every removal hurts.
+    std::vector<double> aics;
     bool improved = true;
     while (improved && terms.size() > 1) {
         improved = false;
+        // Fit the round's candidate drops on the pool, one AIC slot
+        // per term, then pick the drop with a serial scan (first
+        // strict minimum wins): the same model at every thread count.
+        aics.assign(terms.size(), 0.0);
+        util::parallelFor(terms.size(), [&](std::size_t t) {
+            if (terms[t].isIntercept())
+                return;
+            const auto fit = math::leastSquares(withoutColumn(a, t), ys);
+            aics[t] = linearAic(p, terms.size() - 1,
+                                fit.residual_sum_squares);
+        });
         std::size_t best_drop = terms.size();
         double round_best = best_aic;
         for (std::size_t t = 0; t < terms.size(); ++t) {
             if (terms[t].isIntercept())
                 continue;
-            std::vector<Term> reduced;
-            reduced.reserve(terms.size() - 1);
-            for (std::size_t u = 0; u < terms.size(); ++u)
-                if (u != t)
-                    reduced.push_back(terms[u]);
-            const double aic =
-                linearAic(p, reduced.size(), fitSse(reduced, xs, ys));
-            if (aic < round_best) {
-                round_best = aic;
+            if (aics[t] < round_best) {
+                round_best = aics[t];
                 best_drop = t;
             }
         }
         if (best_drop < terms.size()) {
             terms.erase(terms.begin()
                         + static_cast<std::ptrdiff_t>(best_drop));
+            a = withoutColumn(a, best_drop);
             best_aic = round_best;
             ++eliminated;
             improved = true;

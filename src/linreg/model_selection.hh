@@ -45,6 +45,10 @@ double linearAic(std::size_t p, std::size_t m, double sse);
  * elimination: repeatedly drop the term (never the intercept) whose
  * removal lowers AIC the most, until no removal improves.
  *
+ * Each round fits its candidate drops on the global pool
+ * (util::parallelFor) and picks the drop with a serial scan, so the
+ * model is bit-identical at every PPM_THREADS.
+ *
  * @param xs Training inputs (unit space).
  * @param ys Training responses.
  */

@@ -1,7 +1,9 @@
 #include "math/linalg.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace ppm::math {
 
@@ -67,6 +69,7 @@ qrSolve(const Matrix &a, const Vector &y)
     // Work on copies; r becomes upper triangular, qty accumulates Q^T y.
     Matrix r = a;
     Vector qty = y;
+    Vector sums(n);
 
     for (std::size_t k = 0; k < n; ++k) {
         // Householder reflector for column k.
@@ -87,14 +90,26 @@ qrSolve(const Matrix &a, const Vector &y)
             return std::nullopt;
         const double beta = 2.0 / vtv;
 
-        // Apply the reflector to the remaining columns of r.
-        for (std::size_t c = k; c < n; ++c) {
-            double s = 0.0;
-            for (std::size_t i = k; i < m; ++i)
-                s += v[i - k] * r(i, c);
-            s *= beta;
-            for (std::size_t i = k; i < m; ++i)
-                r(i, c) -= s * v[i - k];
+        // Apply the reflector to the remaining columns of r, a row at
+        // a time so the inner loops run along contiguous rows. Each
+        // column's sum starts from 0.0 and adds its rows in order
+        // i = k..m-1, so every element has the bits a column-at-a-time
+        // loop gives it (tests/reference_linreg.hh keeps one).
+        std::fill(sums.begin() + static_cast<std::ptrdiff_t>(k),
+                  sums.end(), 0.0);
+        for (std::size_t i = k; i < m; ++i) {
+            const double vi = v[i - k];
+            const double *row = r.rowPtr(i);
+            for (std::size_t c = k; c < n; ++c)
+                sums[c] += vi * row[c];
+        }
+        for (std::size_t c = k; c < n; ++c)
+            sums[c] *= beta;
+        for (std::size_t i = k; i < m; ++i) {
+            const double vi = v[i - k];
+            double *row = r.rowPtr(i);
+            for (std::size_t c = k; c < n; ++c)
+                row[c] -= sums[c] * vi;
         }
         // And to the right-hand side.
         double s = 0.0;

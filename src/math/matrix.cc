@@ -22,34 +22,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows)
     }
 }
 
-double &
-Matrix::operator()(std::size_t r, std::size_t c)
-{
-    assert(r < rows_ && c < cols_);
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    assert(r < rows_ && c < cols_);
-    return data_[r * cols_ + c];
-}
-
-double *
-Matrix::rowPtr(std::size_t r)
-{
-    assert(r < rows_);
-    return data_.data() + r * cols_;
-}
-
-const double *
-Matrix::rowPtr(std::size_t r) const
-{
-    assert(r < rows_);
-    return data_.data() + r * cols_;
-}
-
 Vector
 Matrix::row(std::size_t r) const
 {

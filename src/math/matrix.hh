@@ -8,6 +8,7 @@
 #ifndef PPM_MATH_MATRIX_HH
 #define PPM_MATH_MATRIX_HH
 
+#include <cassert>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -53,15 +54,38 @@ class Matrix
     /** True iff the matrix has zero elements. */
     bool empty() const { return data_.empty(); }
 
+    // Element access is defined in the header so that loops over a
+    // matrix inline it (the build has no link-time optimisation).
+
     /** Element access (unchecked beyond assert). */
-    double &operator()(std::size_t r, std::size_t c);
+    double &
+    operator()(std::size_t r, std::size_t c)
+    {
+        assert(r < rows_ && c < cols_);
+        return data_[r * cols_ + c];
+    }
     /** Element access (unchecked beyond assert). */
-    double operator()(std::size_t r, std::size_t c) const;
+    double
+    operator()(std::size_t r, std::size_t c) const
+    {
+        assert(r < rows_ && c < cols_);
+        return data_[r * cols_ + c];
+    }
 
     /** Pointer to the first element of row @p r. */
-    double *rowPtr(std::size_t r);
+    double *
+    rowPtr(std::size_t r)
+    {
+        assert(r < rows_);
+        return data_.data() + r * cols_;
+    }
     /** Pointer to the first element of row @p r. */
-    const double *rowPtr(std::size_t r) const;
+    const double *
+    rowPtr(std::size_t r) const
+    {
+        assert(r < rows_);
+        return data_.data() + r * cols_;
+    }
 
     /** Copy of row @p r as a Vector. */
     Vector row(std::size_t r) const;

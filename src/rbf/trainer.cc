@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <exception>
 #include <limits>
 #include <memory>
 
@@ -121,6 +123,48 @@ trainRbfModel(const std::vector<dspace::UnitPoint> &xs,
         best.num_centers = best.network.numBases();
     }
     return best;
+}
+
+double
+crossValidatedError(const std::vector<dspace::UnitPoint> &xs,
+                    const std::vector<double> &ys,
+                    const TrainerOptions &base, int p_min, double alpha)
+{
+    const std::size_t folds = std::min<std::size_t>(5, xs.size() / 2);
+    if (folds < 2)
+        return 0.0;
+    TrainerOptions fold_options = base;
+    fold_options.p_min_grid = {p_min};
+    fold_options.alpha_grid = {alpha};
+    double err_sum = 0.0;
+    std::size_t err_n = 0;
+    for (std::size_t f = 0; f < folds; ++f) {
+        std::vector<dspace::UnitPoint> train_xs, test_xs;
+        std::vector<double> train_ys, test_ys;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            if (i % folds == f) {
+                test_xs.push_back(xs[i]);
+                test_ys.push_back(ys[i]);
+            } else {
+                train_xs.push_back(xs[i]);
+                train_ys.push_back(ys[i]);
+            }
+        }
+        try {
+            const TrainedRbf fold =
+                trainRbfModel(train_xs, train_ys, fold_options);
+            for (std::size_t i = 0; i < test_xs.size(); ++i) {
+                const double pred = fold.network.predict(test_xs[i]);
+                err_sum += std::abs(pred - test_ys[i]) /
+                           std::max(std::abs(test_ys[i]), 1e-12);
+                ++err_n;
+            }
+        } catch (const std::exception &) {
+            // A fold too small to fit leaves the estimate to the
+            // remaining folds.
+        }
+    }
+    return err_n > 0 ? err_sum / static_cast<double>(err_n) : 0.0;
 }
 
 } // namespace ppm::rbf

@@ -83,6 +83,23 @@ TrainedRbf trainRbfModel(const std::vector<dspace::UnitPoint> &xs,
                          const std::vector<double> &ys,
                          const TrainerOptions &options = {});
 
+/**
+ * Deterministic k-fold cross-validated relative error at an already
+ * chosen (p_min, alpha): min(5, n / 2) folds, point i held out in fold
+ * i mod k (no RNG), each fold refit with @p base on the one-cell grid.
+ * A fold too small to fit leaves the estimate to the others. This is
+ * the drift monitor's baseline that ppm_publish and an online refit
+ * store, so equal data give equal bits.
+ *
+ * @return Mean |prediction - y| / max(|y|, 1e-12) over the held-out
+ *         points, or 0 (unknown) with fewer than 2 folds or no fold
+ *         fitted.
+ */
+double crossValidatedError(const std::vector<dspace::UnitPoint> &xs,
+                           const std::vector<double> &ys,
+                           const TrainerOptions &base, int p_min,
+                           double alpha);
+
 } // namespace ppm::rbf
 
 #endif // PPM_RBF_TRAINER_HH

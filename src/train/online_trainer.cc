@@ -29,56 +29,6 @@ constexpr double kErrorFloor = 0.02;
 /** State files are small; cap guards against garbage length words. */
 constexpr std::uint32_t kMaxStatePayload = 1u << 28;
 
-/**
- * Deterministic k-fold CV mean relative error at the already chosen
- * (p_min, alpha): the exact procedure ppm_publish runs at batch
- * publish time (round-robin split, no RNG), so an online refit and an
- * offline publish of the same data store the same baseline
- * bit-for-bit.
- */
-double
-deterministicCvError(const std::vector<dspace::UnitPoint> &xs,
-                     const std::vector<double> &ys,
-                     const rbf::TrainerOptions &base, int p_min,
-                     double alpha)
-{
-    const std::size_t folds = std::min<std::size_t>(5, xs.size() / 2);
-    if (folds < 2)
-        return 0.0;
-    rbf::TrainerOptions fold_options = base;
-    fold_options.p_min_grid = {p_min};
-    fold_options.alpha_grid = {alpha};
-    double err_sum = 0.0;
-    std::size_t err_n = 0;
-    for (std::size_t f = 0; f < folds; ++f) {
-        std::vector<dspace::UnitPoint> train_xs, test_xs;
-        std::vector<double> train_ys, test_ys;
-        for (std::size_t i = 0; i < xs.size(); ++i) {
-            if (i % folds == f) {
-                test_xs.push_back(xs[i]);
-                test_ys.push_back(ys[i]);
-            } else {
-                train_xs.push_back(xs[i]);
-                train_ys.push_back(ys[i]);
-            }
-        }
-        try {
-            const rbf::TrainedRbf fold =
-                rbf::trainRbfModel(train_xs, train_ys, fold_options);
-            for (std::size_t i = 0; i < test_xs.size(); ++i) {
-                const double pred = fold.network.predict(test_xs[i]);
-                err_sum += std::abs(pred - test_ys[i]) /
-                           std::max(std::abs(test_ys[i]), 1e-12);
-                ++err_n;
-            }
-        } catch (const std::exception &) {
-            // A fold too small to fit leaves the estimate to the
-            // remaining folds (mirrors ppm_publish).
-        }
-    }
-    return err_n > 0 ? err_sum / static_cast<double>(err_n) : 0.0;
-}
-
 } // namespace
 
 rbf::TrainerOptions
@@ -260,8 +210,8 @@ OnlineTrainer::fullRefit()
     p_min_ = trained.p_min;
     alpha_ = trained.alpha;
     linear_ = linreg::fitSelectedLinearModel(xs, ys).model;
-    cv_error_ = deterministicCvError(xs, ys, refit_options,
-                                     trained.p_min, trained.alpha);
+    cv_error_ = rbf::crossValidatedError(xs, ys, refit_options,
+                                         trained.p_min, trained.alpha);
 
     // Re-seed the streaming state over the new centers by refolding
     // the whole canonical point set: the published weights always

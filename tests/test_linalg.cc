@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for the linear solvers: Cholesky, Householder QR, and the
- * least-squares front end with ridge fallback.
+ * least-squares front end with ridge fallback. qrSolve must also give
+ * the bits of the frozen column-at-a-time QR in reference_linreg.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "math/linalg.hh"
 #include "math/rng.hh"
+#include "reference_linreg.hh"
 
 namespace {
 
@@ -165,6 +171,105 @@ TEST(LeastSquares, RandomizedAgreementWithQr)
     ASSERT_TRUE(qr.has_value());
     for (std::size_t j = 0; j < n; ++j)
         EXPECT_NEAR(fit.coefficients[j], (*qr)[j], 1e-9);
+}
+
+/** Random m x n matrix of one of three entry kinds. */
+Matrix
+randomMatrix(Rng &rng, std::size_t m, std::size_t n)
+{
+    const auto kind = rng.uniformInt(3);
+    Matrix a(m, n);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            if (kind == 0) {
+                a(i, j) = rng.gaussian();
+            } else if (kind == 1) {
+                // Design-matrix-like: an intercept column, then unit
+                // inputs and their products.
+                a(i, j) = j == 0 ? 1.0 : rng.uniform();
+                if (j > 2 && j % 2 == 1)
+                    a(i, j) *= a(i, j - 2);
+            } else {
+                a(i, j) = rng.uniform(-1, 1) *
+                          std::pow(10.0, rng.uniform(-6, 6));
+            }
+        }
+    }
+    return a;
+}
+
+Vector
+randomVector(Rng &rng, std::size_t m)
+{
+    Vector y(m);
+    for (auto &v : y)
+        v = rng.gaussian(1.0, 2.0);
+    return y;
+}
+
+/** Same has_value, and the same bits in every coefficient. */
+bool
+expectSameQr(const Matrix &a, const Vector &y)
+{
+    const auto want = ppm::test::referenceQrSolve(a, y);
+    const auto got = qrSolve(a, y);
+    EXPECT_EQ(got.has_value(), want.has_value())
+        << a.rows() << "x" << a.cols();
+    if (!want || !got)
+        return false;
+    for (std::size_t j = 0; j < want->size(); ++j)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>((*got)[j]),
+                  std::bit_cast<std::uint64_t>((*want)[j]))
+            << a.rows() << "x" << a.cols() << " coefficient " << j;
+    return true;
+}
+
+TEST(QrSolve, BitIdenticalToColumnAtATimeReference)
+{
+    Rng rng(31);
+    std::size_t solved = 0, failed = 0;
+    // Tall and square systems.
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t m = 1 + rng.uniformInt(300);
+        const std::size_t n =
+            trial % 4 == 0
+                ? m
+                : 1 + rng.uniformInt(std::min<std::size_t>(m, 60));
+        const bool ok = expectSameQr(randomMatrix(rng, m, n),
+                                     randomVector(rng, m));
+        (ok ? solved : failed) += 1;
+    }
+    // Near-singular: one column a copy of another plus eps noise. The
+    // small eps fit with huge coefficients; eps 0 and 1e-14 return
+    // nullopt from the column-norm check.
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t m = 3 + rng.uniformInt(200);
+        const std::size_t n =
+            2 + rng.uniformInt(std::min<std::size_t>(m - 1, 40));
+        Matrix a = randomMatrix(rng, m, n);
+        const std::size_t src = rng.uniformInt(n);
+        std::size_t dst = rng.uniformInt(n - 1);
+        dst += dst >= src;
+        const double eps = std::array{0.0, 1e-14, 1e-10, 1e-6}[trial % 4];
+        for (std::size_t i = 0; i < m; ++i)
+            a(i, dst) = a(i, src) + eps * rng.gaussian();
+        const bool ok = expectSameQr(a, randomVector(rng, m));
+        (ok ? solved : failed) += 1;
+    }
+    // A zero column and a column scaled below the norm threshold.
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t m = 2 + rng.uniformInt(100);
+        const std::size_t n =
+            1 + rng.uniformInt(std::min<std::size_t>(m, 20));
+        Matrix a = randomMatrix(rng, m, n);
+        const std::size_t c = rng.uniformInt(n);
+        for (std::size_t i = 0; i < m; ++i)
+            a(i, c) *= trial % 2 == 0 ? 0.0 : 1e-14;
+        const bool ok = expectSameQr(a, randomVector(rng, m));
+        (ok ? solved : failed) += 1;
+    }
+    EXPECT_GT(solved, 400u);
+    EXPECT_GT(failed, 80u);
 }
 
 } // namespace

@@ -1,15 +1,22 @@
 /**
  * @file
  * Unit tests for the linear baseline: term construction, fitting, and
- * AIC backward elimination (paper Sec 4.2).
+ * AIC backward elimination (paper Sec 4.2). Selection must also give
+ * the bits of the frozen serial loop in reference_linreg.hh at 1 and 4
+ * threads.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "linreg/model_selection.hh"
 #include "math/rng.hh"
+#include "reference_linreg.hh"
+#include "util/thread_pool.hh"
 
 namespace {
 
@@ -195,6 +202,111 @@ TEST(Selection, AicReportedMatchesModel)
     const double recomputed =
         linearAic(xs.size(), sel.model.numTerms(), sel.model.trainSse());
     EXPECT_NEAR(sel.aic, recomputed, 1e-6);
+}
+
+/**
+ * A random selection problem: @p p unit points in @p dims dimensions
+ * and a response with main effects, interactions, a nonlinear term and
+ * noise. @p degenerate makes one input constant at 0.5 (its main
+ * effect duplicates the intercept), constant at 0 (a zero column) or
+ * a copy of another input, so that QR fails and the ridge solve runs.
+ */
+void
+randomProblem(math::Rng &rng, std::size_t p, std::size_t dims,
+              int degenerate, std::vector<dspace::UnitPoint> &xs,
+              std::vector<double> &ys)
+{
+    std::vector<double> w(dims);
+    for (auto &v : w)
+        v = rng.bernoulli(0.6) ? rng.gaussian(0.0, 2.0) : 0.0;
+    const double noise = std::array{0.0, 0.01, 0.1}[rng.uniformInt(3)];
+    xs.assign(p, dspace::UnitPoint(dims));
+    ys.assign(p, 0.0);
+    for (std::size_t i = 0; i < p; ++i) {
+        auto &x = xs[i];
+        for (auto &v : x)
+            v = rng.uniform();
+        if (degenerate == 1)
+            x[dims - 1] = 0.5;
+        else if (degenerate == 2)
+            x[dims - 1] = 0.0;
+        else if (degenerate == 3 && dims > 1)
+            x[dims - 1] = x[0];
+        double y = 1.0;
+        for (std::size_t d = 0; d < dims; ++d)
+            y += w[d] * x[d];
+        if (dims > 1)
+            y += 1.5 * x[0] * x[dims - 1] + 0.5 / (0.2 + x[1]);
+        ys[i] = y + noise * rng.gaussian();
+    }
+}
+
+/**
+ * Fit under 1 and 4 threads and expect the reference's terms,
+ * eliminated count and the bits of AIC, SSE and every coefficient.
+ */
+void
+expectReferenceBits(const std::vector<dspace::UnitPoint> &xs,
+                    const std::vector<double> &ys,
+                    const ppm::test::ReferenceSelection &want)
+{
+    for (unsigned threads : {1u, 4u}) {
+        util::setGlobalThreads(threads);
+        const auto got = fitSelectedLinearModel(xs, ys);
+        SCOPED_TRACE(::testing::Message()
+                     << "p " << xs.size() << " dims " << xs[0].size()
+                     << " threads " << threads);
+        ASSERT_EQ(got.model.terms(), want.terms);
+        EXPECT_EQ(got.eliminated, want.eliminated);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.aic),
+                  std::bit_cast<std::uint64_t>(want.aic));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.model.trainSse()),
+                  std::bit_cast<std::uint64_t>(want.train_sse));
+        const auto &coeffs = got.model.coefficients();
+        ASSERT_EQ(coeffs.size(), want.coefficients.size());
+        for (std::size_t t = 0; t < coeffs.size(); ++t)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(coeffs[t]),
+                      std::bit_cast<std::uint64_t>(want.coefficients[t]))
+                << "coefficient " << t;
+    }
+    util::setGlobalThreads(0);
+}
+
+TEST(Selection, BitIdenticalToSerialReferenceAtOneAndFourThreads)
+{
+    math::Rng rng(2026);
+    std::size_t ridge_problems = 0, eliminations = 0;
+    for (int problem = 0; problem < 200; ++problem) {
+        // dims 1-9 and p log-uniform in 12-1,100, or in 12-250 at 7-9
+        // dims: a selection costs ~p * terms^3, and 9 dims have 46
+        // terms (the next test takes 1,100 points at 9 dims).
+        const std::size_t dims = 1 + rng.uniformInt(9);
+        const double p_max = dims > 6 ? 250.0 : 1100.0;
+        const auto p = static_cast<std::size_t>(
+            12.0 * std::pow(p_max / 12.0, rng.uniform()));
+        const int degenerate = problem % 5 == 4 ? 1 + problem / 5 % 3 : 0;
+        std::vector<dspace::UnitPoint> xs;
+        std::vector<double> ys;
+        randomProblem(rng, p, dims, degenerate, xs, ys);
+        const auto want = ppm::test::referenceSelection(xs, ys);
+        ridge_problems += want.ridge_fits > 0;
+        eliminations += want.eliminated;
+        SCOPED_TRACE(::testing::Message() << "problem " << problem);
+        expectReferenceBits(xs, ys, want);
+    }
+    EXPECT_GE(ridge_problems, 20u);
+    EXPECT_GT(eliminations, 1000u);
+}
+
+TEST(Selection, BitIdenticalToSerialReferenceAtLargestSize)
+{
+    math::Rng rng(2027);
+    std::vector<dspace::UnitPoint> xs;
+    std::vector<double> ys;
+    randomProblem(rng, 1100, 9, 0, xs, ys);
+    const auto want = ppm::test::referenceSelection(xs, ys);
+    EXPECT_GT(want.eliminated, 10u);
+    expectReferenceBits(xs, ys, want);
 }
 
 } // namespace

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -153,11 +155,21 @@ TEST(ParallelDeterminism, ModelBuilderBitIdentical1v4)
         opts.num_test_points = 20;
         opts.trainer.p_min_grid = {1, 2};
         opts.trainer.alpha_grid = {4, 8};
+        opts.fit_linear_baseline = true;
         auto result = builder.build(opts);
         util::setGlobalThreads(0);
+        const linreg::LinearModel &linear =
+            result.linear_model->selected().model;
+        std::vector<std::uint64_t> linear_bits;
+        for (double c : linear.coefficients())
+            linear_bits.push_back(std::bit_cast<std::uint64_t>(c));
+        // The linear baseline's selection runs on the pool too.
         return std::tuple(result.simulations,
                           result.final().rbf_error.mean_error,
                           result.final().rbf_error.errors,
+                          result.final().linear_error.mean_error,
+                          result.final().linear_error.errors,
+                          linear.terms(), linear_bits,
                           builder.testResponses());
     };
     EXPECT_EQ(build(1), build(4));

@@ -31,8 +31,6 @@
  * push frame and reports the acknowledged version.
  */
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -202,54 +200,17 @@ main(int argc, char **argv)
             linear = linreg::fitSelectedLinearModel(xs, ys);
 
             // Training-time cross-validated relative error: the drift
-            // monitor's baseline (snapshot format 2). Deterministic
-            // k-fold with a round-robin split (no RNG) refitting at the
-            // winning (p_min, alpha) only, so repeated publishes of the
-            // same data store the same baseline bit-for-bit.
-            const std::size_t folds =
-                std::min<std::size_t>(5, xs.size() / 2);
-            if (folds >= 2) {
-                rbf::TrainerOptions fold_options;
-                fold_options.p_min_grid = {trained.p_min};
-                fold_options.alpha_grid = {trained.alpha};
-                double err_sum = 0.0;
-                std::size_t err_n = 0;
-                for (std::size_t f = 0; f < folds; ++f) {
-                    std::vector<dspace::UnitPoint> train_xs, test_xs;
-                    std::vector<double> train_ys, test_ys;
-                    for (std::size_t i = 0; i < xs.size(); ++i) {
-                        if (i % folds == f) {
-                            test_xs.push_back(xs[i]);
-                            test_ys.push_back(ys[i]);
-                        } else {
-                            train_xs.push_back(xs[i]);
-                            train_ys.push_back(ys[i]);
-                        }
-                    }
-                    try {
-                        const rbf::TrainedRbf fold = rbf::trainRbfModel(
-                            train_xs, train_ys, fold_options);
-                        for (std::size_t i = 0; i < test_xs.size(); ++i) {
-                            const double pred =
-                                fold.network.predict(test_xs[i]);
-                            err_sum += std::abs(pred - test_ys[i]) /
-                                       std::max(std::abs(test_ys[i]),
-                                                1e-12);
-                            ++err_n;
-                        }
-                    } catch (const std::exception &) {
-                        // A fold too small to fit leaves the estimate to
-                        // the remaining folds.
-                    }
-                }
-                if (err_n > 0)
-                    cv_error = err_sum / static_cast<double>(err_n);
-                if (verbose)
-                    std::fprintf(stderr,
-                                 "ppm_publish: %zu-fold CV relative error"
-                                 " %.4f (%zu held-out points)\n",
-                                 folds, cv_error, err_n);
-            }
+            // monitor's baseline, refit at the winning (p_min, alpha)
+            // only, so repeated publishes of the same data store the
+            // same baseline bit-for-bit.
+            cv_error = rbf::crossValidatedError(
+                xs, ys, rbf::TrainerOptions{}, trained.p_min,
+                trained.alpha);
+            if (verbose)
+                std::fprintf(stderr,
+                             "ppm_publish: k-fold CV relative error"
+                             " %.4f\n",
+                             cv_error);
         }
 
         serve::ModelSnapshot snap;
